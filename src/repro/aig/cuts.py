@@ -35,15 +35,13 @@ class Cut:
 class CutSet:
     """Cuts for every node of an AIG."""
 
-    def __init__(
-        self, aig: AIG, k: int = 4, max_cuts: int = 8, kernel=None
-    ) -> None:
+    def __init__(self, aig: AIG, k: int = 4, max_cuts: int = 8) -> None:
         if k < 2 or k > 6:
             raise ValueError("cut size must be between 2 and 6")
         self.aig = aig
         self.k = k
         self.max_cuts = max_cuts
-        self._kernel = resolve_backend(kernel)
+        self._kernel = resolve_backend()
         self.cuts: dict[int, list[Cut]] = {}
         self._compute()
 
@@ -85,11 +83,9 @@ class CutSet:
         return self.cuts[node]
 
 
-def enumerate_cuts(
-    aig: AIG, k: int = 4, max_cuts: int = 8, kernel=None
-) -> CutSet:
+def enumerate_cuts(aig: AIG, k: int = 4, max_cuts: int = 8) -> CutSet:
     """Convenience constructor for :class:`CutSet`."""
-    return CutSet(aig, k=k, max_cuts=max_cuts, kernel=kernel)
+    return CutSet(aig, k=k, max_cuts=max_cuts)
 
 
 def _drop_dominated(cuts: list[Cut]) -> list[Cut]:

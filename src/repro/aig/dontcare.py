@@ -45,6 +45,7 @@ from repro.aig.rewrite import (
     mffc_sizes,
     plan_cover,
 )
+from repro.aig.tt_util import expand_table
 
 __all__ = ["NU", "dc_rewrite"]
 
@@ -55,7 +56,6 @@ def dc_rewrite(
     max_cuts: int = 6,
     tfo_depth: int = 2,
     support_limit: int = 10,
-    kernel=None,
     external_care=None,
 ) -> AIG:
     """One pass of don't-care-aware cut rewriting.
@@ -96,9 +96,9 @@ def dc_rewrite(
     if support_limit < 1:
         raise ValueError(f"support_limit must be >= 1, got {support_limit}")
 
-    backend = resolve_backend(kernel)
+    backend = resolve_backend()
     tables = backend.global_node_tables(aig, support_limit)
-    cuts = CutSet(aig, k=k, max_cuts=max_cuts, kernel=backend)
+    cuts = CutSet(aig, k=k, max_cuts=max_cuts)
     mffc = mffc_sizes(aig)
     topo = aig.topo_order()
     topo_position = {node: index for index, node in enumerate(topo)}
@@ -148,7 +148,7 @@ def dc_rewrite(
         obs_sources, obs_table = observability
         if external_care:
             obs_sources, obs_table = _merge_care(
-                backend, obs_sources, obs_table, external_care, support_limit
+                obs_sources, obs_table, external_care, support_limit
             )
 
         budget = mffc[node]
@@ -163,9 +163,7 @@ def dc_rewrite(
                 continue  # no freedom here: the exact pass's job
             on = cut.table & ~dc
             leaf_lits = [translate(leaf << 1) for leaf in cut.leaves]
-            cost, plan = plan_cover(
-                new, on, dc, cut.size, leaf_lits, kernel=backend
-            )
+            cost, plan = plan_cover(new, on, dc, cut.size, leaf_lits)
             if cost < budget:
                 best_lit = build_plan(
                     new, plan, on, dc, cut.size, leaf_lits
@@ -187,7 +185,6 @@ def dc_rewrite(
 
 
 def _merge_care(
-    backend,
     obs_sources: tuple,
     obs_table: int,
     external_care,
@@ -209,12 +206,12 @@ def _merge_care(
         if len(union) > support_limit:
             continue
         if sources:
-            expanded = backend.expand_table(table, sources, union)
+            expanded = expand_table(table, sources, union)
         else:
             # Root windows carry a constant care (1: everything
             # observable); replicate it over the new source universe.
             expanded = (1 << (1 << len(union))) - 1 if table else 0
-        table = expanded & backend.expand_table(
+        table = expanded & expand_table(
             care_table, tuple(care_sources), union
         )
         sources = union
@@ -284,10 +281,3 @@ def _mark_stale(
             continue
         stale.add(member)
         stack.extend(fanout_adj.get(member, ()))
-
-
-# The observability replay (NU-variable window differentiation) and
-# the SDC+ODC leaf-vector image live in the kernel backends now --
-# :meth:`repro.aig.kernel.KernelBackend.observability` and
-# :meth:`repro.aig.kernel.KernelBackend.cut_dontcares`; the pure
-# implementations moved verbatim to :mod:`repro.aig.kernel.pure`.

@@ -1,23 +1,19 @@
-"""The pure-Python kernel backend: big-int truth tables.
+"""The truth-table kernel behind ``rewrite``/``resub``/``dc_rewrite``.
 
-This is the original hot-path code of ``rewrite``/``resub``/
-``dc_rewrite``, moved here *verbatim* from those modules so its
-behaviour stays pinned: every other backend is held to bit-for-bit
-agreement with this one by the differential test harness.  Tables are
-the big-int encoding of :mod:`repro.tables.bits`; windowed sweeping
-costs are bounded by the callers' ``support_limit``.
+The window-replay machinery those passes share -- global truth tables
+over windowed source supports, leaf-vector images, NU-replay
+observability, divisor selection, cut merging and ISOP cover planning
+-- is bit-parallel work on big-int truth tables (the encoding of
+:mod:`repro.tables.bits`: bit ``i`` is the function value on minterm
+``i``).  It lives on one stateless :class:`PureBackend`, shared
+through :func:`resolve_backend`; windowed sweeping costs are bounded
+by the callers' ``support_limit``.
 """
 
 from __future__ import annotations
 
 from repro.aig.graph import lit_node, lit_sign
-from repro.aig.kernel import NU, KernelBackend
-from repro.aig.tt_util import (
-    expand_table,
-    insert_var,
-    project_table,
-    remove_var,
-)
+from repro.aig.tt_util import expand_table, project_table, remove_var
 from repro.tables.bits import (
     all_ones,
     cofactor0,
@@ -27,29 +23,18 @@ from repro.tables.bits import (
 )
 from repro.tables.isop import isop
 
+#: Sentinel variable standing for "the node under analysis" while its
+#: value is replayed through a fanout window; sorts before every real
+#: node id, so it is always variable 0 of a window table.
+NU = -1
 
-class PureBackend(KernelBackend):
-    """Big-int truth tables: the reference kernel, no dependencies."""
 
-    name = "pure"
-
-    # -- table algebra ------------------------------------------------
-    def insert_var(self, table, position, num_vars):
-        return insert_var(table, position, num_vars)
-
-    def remove_var(self, table, position, num_vars):
-        return remove_var(table, position, num_vars)
-
-    def expand_table(self, table, from_leaves, to_leaves):
-        return expand_table(table, from_leaves, to_leaves)
-
-    def project_table(self, table, keep_positions, num_vars):
-        return project_table(table, keep_positions, num_vars)
+class PureBackend:
+    """Big-int truth-table kernels: the AIG passes' batch operations."""
 
     def expand_cut(self, table, from_leaves, to_leaves):
         """Re-express a cut table over a superset of leaves (the
-        cut-enumeration merge primitive, moved verbatim from
-        :mod:`repro.aig.cuts`)."""
+        cut-enumeration merge primitive)."""
         if from_leaves == to_leaves:
             return table
         num_to = len(to_leaves)
@@ -68,14 +53,10 @@ class PureBackend(KernelBackend):
                 result |= 1 << minterm
         return result
 
-    # -- support / popcount queries -----------------------------------
-    def popcount(self, table):
-        return popcount(table)
-
-    def support(self, table, num_vars):
-        return tt_support(table, num_vars)
-
     def isop_cover(self, on, dc, num_vars):
+        """An irredundant SOP cover of any ``g`` with
+        ``on <= g <= on | dc`` (the cube list the cover replay
+        materialises)."""
         return isop(on, dc, num_vars)
 
     # -- batched window simulation ------------------------------------
@@ -161,7 +142,7 @@ class PureBackend(KernelBackend):
 
     def _nu_node_table(self, aig, member, nu_tables, tables, support_limit):
         """Truth table of a window member over sources plus
-        :data:`~repro.aig.kernel.NU`."""
+        :data:`NU`."""
         f0, f1 = aig.fanins(member)
         keys = []
         for lit in (f0, f1):
@@ -294,3 +275,11 @@ class PureBackend(KernelBackend):
         if current > 0:
             return None
         return chosen
+
+
+_BACKEND = PureBackend()
+
+
+def resolve_backend() -> PureBackend:
+    """The shared (stateless) kernel instance."""
+    return _BACKEND

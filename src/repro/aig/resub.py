@@ -38,6 +38,7 @@ from repro.aig.rewrite import (
     plan_cover,
     reref_cone,
 )
+from repro.aig.tt_util import expand_table
 from repro.tables.bits import all_ones, var_mask
 
 #: Hard ceiling on divisors entering one dependency function: ``h`` is
@@ -50,7 +51,6 @@ def resub(
     k: int = 3,
     max_divisors: int = 16,
     support_limit: int = 8,
-    kernel=None,
 ) -> AIG:
     """One resubstitution pass; returns the (possibly) smaller graph.
 
@@ -76,7 +76,7 @@ def resub(
     if support_limit < 1:
         raise ValueError(f"support_limit must be >= 1, got {support_limit}")
 
-    backend = resolve_backend(kernel)
+    backend = resolve_backend()
     tables = backend.global_node_tables(aig, support_limit)
     refs = aig.fanout_counts()
 
@@ -182,15 +182,14 @@ def _try_resub(
         d_sources, d_table = key
         if not d_sources or not set(d_sources) <= source_set:
             continue
-        expanded = backend.expand_table(d_table, d_sources, sources)
+        expanded = expand_table(d_table, d_sources, sources)
         if expanded == 0 or expanded == universe:
             continue
         divisors.append((old, expanded))
         taken += 1
 
     # Divisor selection and the dependency function are kernel batch
-    # ops (partition refinement / vector histograms); every backend
-    # implements the same greedy with the same tie-breaks.
+    # ops (partition refinement / vector histograms).
     chosen_indices = backend.pick_divisors(
         table, [d_table for _, d_table in divisors], len(sources), k
     )
@@ -204,9 +203,7 @@ def _try_resub(
     leaf_lits = [
         translate(old << 1) for old, _ in chosen
     ]
-    cost, plan = plan_cover(
-        new, on, dc, len(chosen), leaf_lits, kernel=backend
-    )
+    cost, plan = plan_cover(new, on, dc, len(chosen), leaf_lits)
     if cost >= budget:
         return None
     return build_plan(new, plan, on, dc, len(chosen), leaf_lits)

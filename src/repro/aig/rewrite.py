@@ -35,9 +35,7 @@ def adaptive_support_limit(aig: AIG) -> int:
     return 8
 
 
-def tt_sweep(
-    aig: AIG, support_limit: int | None = None, kernel=None
-) -> AIG:
+def tt_sweep(aig: AIG, support_limit: int | None = None) -> AIG:
     """Merge functionally equivalent nodes (exact, windowed).
 
     Every AND node whose structural support has at most
@@ -51,7 +49,7 @@ def tt_sweep(
     # OLD node id -> (sorted source tuple, table) or None when too
     # wide; depends only on the input graph, so the shared propagation
     # computes it up front.
-    tables = global_node_tables(aig, support_limit, kernel=kernel)
+    tables = global_node_tables(aig, support_limit)
     new = AIG()
     lit_map: dict[int, int] = {0: 0}
     canonical: dict[tuple[tuple[int, ...], int], int] = {}
@@ -99,7 +97,7 @@ def tt_sweep(
     return compacted
 
 
-def rewrite(aig: AIG, k: int = 4, max_cuts: int = 6, kernel=None) -> AIG:
+def rewrite(aig: AIG, k: int = 4, max_cuts: int = 6) -> AIG:
     """One pass of cut-based local resynthesis.
 
     For every AND node, try to re-express its best ``k``-cut function
@@ -108,8 +106,7 @@ def rewrite(aig: AIG, k: int = 4, max_cuts: int = 6, kernel=None) -> AIG:
     with a dry run against the new graph's structural hash table, so
     rejected candidates leave no residue.
     """
-    backend = resolve_backend(kernel)
-    cuts = CutSet(aig, k=k, max_cuts=max_cuts, kernel=backend)
+    cuts = CutSet(aig, k=k, max_cuts=max_cuts)
     mffc = mffc_sizes(aig)
     new = AIG()
     lit_map: dict[int, int] = {0: 0}
@@ -131,9 +128,7 @@ def rewrite(aig: AIG, k: int = 4, max_cuts: int = 6, kernel=None) -> AIG:
             if cut.size < 2 or cut.leaves == (node,):
                 continue
             leaf_lits = [translate(leaf << 1) for leaf in cut.leaves]
-            cost, plan = plan_cover(
-                new, cut.table, 0, cut.size, leaf_lits, kernel=backend
-            )
+            cost, plan = plan_cover(new, cut.table, 0, cut.size, leaf_lits)
             if cost < budget:
                 candidate = build_plan(new, plan, cut.table, 0, cut.size, leaf_lits)
                 best_lit = candidate
@@ -149,7 +144,7 @@ def rewrite(aig: AIG, k: int = 4, max_cuts: int = 6, kernel=None) -> AIG:
 
 
 def global_node_tables(
-    aig: AIG, support_limit: int, kernel=None
+    aig: AIG, support_limit: int
 ) -> dict[int, tuple[tuple[int, ...], int] | None]:
     """Windowed global truth tables for every node.
 
@@ -163,11 +158,10 @@ def global_node_tables(
     sources (every assignment of them is achievable), conclusions
     drawn from these tables are exact, never approximate.
 
-    The propagation itself is a :class:`repro.aig.kernel.KernelBackend`
-    batch op (``kernel`` follows the usual resolution order); every
-    backend returns identical tables.
+    The propagation itself is a batch op of
+    :class:`repro.aig.kernel.PureBackend`.
     """
-    return resolve_backend(kernel).global_node_tables(aig, support_limit)
+    return resolve_backend().global_node_tables(aig, support_limit)
 
 
 def deref_cone(
@@ -225,15 +219,14 @@ def mffc_sizes(aig: AIG) -> list[int]:
 
 
 def plan_cover(
-    aig: AIG, on: int, dc: int, num_vars: int, leaf_lits: list[int],
-    kernel=None,
+    aig: AIG, on: int, dc: int, num_vars: int, leaf_lits: list[int]
 ):
     """Dry-run ISOP construction of any function ``g`` with
     ``on <= g <= on | dc``; returns (new-node count, cube plan)."""
     universe = all_ones(num_vars)
     if on == 0 or (on | dc) == universe:
         return 0, []
-    cubes = resolve_backend(kernel).isop_cover(on, dc, num_vars)
+    cubes = resolve_backend().isop_cover(on, dc, num_vars)
     overlay: dict[tuple[int, int], int] = {}
     next_fake = [aig.num_nodes]
 

@@ -40,16 +40,6 @@ from typing import Callable, Iterable
 from repro.check.diagnostics import Diagnostic
 
 
-def _diag(code, severity, location, message, suggestion=None) -> Diagnostic:
-    return Diagnostic(
-        code=code,
-        severity=severity,
-        location=location,
-        message=message,
-        suggestion=suggestion,
-    )
-
-
 # ---------------------------------------------------------------------
 # The solver
 # ---------------------------------------------------------------------
@@ -273,7 +263,7 @@ def analyze_fsm(spec, allowed_inputs=None) -> "list[Diagnostic]":
             "under the declared input predicate " if constrained else ""
         )
         diagnostics.append(
-            _diag(
+            Diagnostic(
                 "CHK701",
                 "warning",
                 f"{where} state {state}",
@@ -345,7 +335,7 @@ def analyze_guards(
             satisfiable.append((state, cube, target))
             continue
         diagnostics.append(
-            _diag(
+            Diagnostic(
                 "CHK702",
                 "warning",
                 f"state {state} row {index}",
@@ -365,7 +355,7 @@ def analyze_guards(
         if facts.get(state):
             continue
         diagnostics.append(
-            _diag(
+            Diagnostic(
                 "CHK701",
                 "warning",
                 f"state {state}",
@@ -447,7 +437,7 @@ def analyze_microcode(
         seq_op, _, target = program.seq_words[addr]
         if seq_op == SeqOp.BRANCH and target == (addr + 1) % depth:
             diagnostics.append(
-                _diag(
+                Diagnostic(
                     "CHK703",
                     "warning",
                     f"addr {addr}",
@@ -472,7 +462,7 @@ def analyze_microcode(
             if value in (CONST_BOTTOM, CONST_TOP):
                 continue
             diagnostics.append(
-                _diag(
+                Diagnostic(
                     "CHK704",
                     "warning",
                     f"field {field.name!r}",
@@ -490,7 +480,7 @@ def analyze_microcode(
         for addr in reachable
     ):
         diagnostics.append(
-            _diag(
+            Diagnostic(
                 "CHK705",
                 "warning",
                 f"dispatch {program.dispatch.name!r}",
@@ -558,7 +548,7 @@ def analyze_aig(aig) -> "list[Diagnostic]":
         more = "" if len(dead_latches) <= 4 else ", ..."
         parts.append(f"latches {shown}{more}")
     return [
-        _diag(
+        Diagnostic(
             "CHK706",
             "warning",
             "; ".join(parts),
@@ -613,7 +603,7 @@ def analyze_netlist(netlist) -> "list[Diagnostic]":
         more = "" if len(dead_flops) <= 4 else ", ..."
         parts.append(f"flops {shown}{more}")
     return [
-        _diag(
+        Diagnostic(
             "CHK706",
             "warning",
             "; ".join(parts),

@@ -10,7 +10,10 @@ stable *fingerprint* of everything that determines the result:
 * the rendered pipeline spec, including every non-default pass
   parameter (:meth:`PassManager.spec` -- which is why spec round-trip
   fidelity is load-bearing),
-* the seeded annotations, the RNG seed, and the cell library.
+* the seeded annotations, the RNG seed, and the cell library,
+* a digest of the ``repro`` package's own source (:func:`code_digest`),
+  so an edited pass can never be answered by a result its old code
+  computed.
 
 :class:`CompileCache` layers a bounded in-memory LRU over an optional
 *backend* -- any object implementing the small :class:`CacheBackend`
@@ -43,8 +46,8 @@ on your machine.
 
 from __future__ import annotations
 
+import functools
 import hashlib
-import inspect
 import os
 import pickle
 import tempfile
@@ -64,8 +67,10 @@ if TYPE_CHECKING:
     from repro.synth.dc_options import StateAnnotation
     from repro.tech.cells import Library
 
-#: Bump whenever fingerprinted semantics change (pass behaviour,
-#: context pickling layout) to invalidate every existing entry.
+#: Bump whenever the key layout or the context pickling layout
+#: changes, to invalidate every existing entry.  Changes to pass
+#: behaviour need no bump: :func:`code_digest` already keys every
+#: entry on the source that computed it.
 #: Version 2: controller-IR inputs (``ctrl``) and configuration
 #: ``bindings`` joined the key when the frontend became passes.
 #: Version 3: a ``None`` library fingerprints as the *resolved*
@@ -88,8 +93,7 @@ SNAPSHOT_VERSION = 1
 
 #: The two entry kinds a cache backend may be asked to move: completed
 #: compile results (the historical namespace) and mid-pipeline stage
-#: snapshots.  Backends that predate kinds simply never receive the
-#: keyword (see :func:`backend_load`/:func:`backend_store`).
+#: snapshots (see :meth:`CacheBackend.load`).
 ENTRY_KIND = "entry"
 SNAPSHOT_KIND = "snapshot"
 
@@ -247,9 +251,28 @@ def _input_chunks(
     return chunks
 
 
+@functools.cache
+def code_digest() -> str:
+    """SHA-256 over every ``.py`` source of the ``repro`` package.
+
+    Computed on the first fingerprint of a process, never at import,
+    and folded into every cache key, so results cached by one version
+    of the code are misses for any other.
+    """
+    root = Path(__file__).resolve().parent.parent
+    digest = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        source = path.read_bytes()
+        name = path.relative_to(root).as_posix()
+        digest.update(repr((name, len(source))).encode())
+        digest.update(source)
+    return digest.hexdigest()
+
+
 def _spec_digest(spec: str, chunks: "list[bytes]") -> str:
     digest = hashlib.sha256()
     digest.update(repr(("flow-fingerprint", FINGERPRINT_VERSION)).encode())
+    digest.update(repr(("code", code_digest())).encode())
     digest.update(repr(("spec", spec)).encode())
     for chunk in chunks:
         digest.update(chunk)
@@ -303,10 +326,10 @@ def snapshot_key(prefix_fingerprint: str) -> str:
 
     Derived (not equal): hashing the prefix fingerprint with a
     kind/version tag keeps snapshots out of the completed-entry
-    namespace even on backends that predate entry kinds, keeps the
-    key a 64-hex digest the server's wire validation accepts, and
-    makes a :data:`SNAPSHOT_VERSION` bump orphan old snapshots
-    instead of mis-reading them.
+    namespace even on a backend that keeps both kinds in one store,
+    keeps the key a 64-hex digest the server's wire validation
+    accepts, and makes a :data:`SNAPSHOT_VERSION` bump orphan old
+    snapshots instead of mis-reading them.
     """
     tag = f"stage-snapshot:{SNAPSHOT_VERSION}:{prefix_fingerprint}"
     return hashlib.sha256(tag.encode()).hexdigest()
@@ -412,57 +435,21 @@ class CacheBackend:
     unrelated lookups.
     """
 
-    def load(self, key: str) -> bytes | None:
-        """The stored blob for ``key``, or ``None`` on a miss.  I/O
-        failures read as misses, never as errors."""
+    def load(self, key: str, kind: str = ENTRY_KIND) -> bytes | None:
+        """The stored ``kind`` blob (:data:`ENTRY_KIND` or
+        :data:`SNAPSHOT_KIND`) for ``key``, or ``None`` on a miss.
+        I/O failures read as misses, never as errors."""
         raise NotImplementedError
 
-    def store(self, key: str, blob: bytes) -> None:
-        """Persist ``blob`` under ``key``, replacing any previous
-        entry.  Concurrent writers of the same key must be safe."""
+    def store(self, key: str, blob: bytes, kind: str = ENTRY_KIND) -> None:
+        """Persist ``blob`` under ``key`` as ``kind``, replacing any
+        previous entry.  Concurrent writers of the same key must be
+        safe."""
         raise NotImplementedError
 
     def stats(self) -> dict:
         """A JSON-safe description of the backend for ``/stats``."""
         return {"kind": type(self).__name__}
-
-
-def _kind_aware(method) -> bool:
-    """Whether a backend load/store method accepts the ``kind=``
-    keyword.  Inspected (not duck-called): a kind-unaware custom
-    backend must keep working unchanged, and catching ``TypeError``
-    around the call would swallow genuine bugs inside the backend."""
-    try:
-        parameters = inspect.signature(method).parameters
-    except (TypeError, ValueError):  # builtins, mocks without signatures
-        return False
-    return "kind" in parameters or any(
-        p.kind is inspect.Parameter.VAR_KEYWORD for p in parameters.values()
-    )
-
-
-def backend_load(
-    backend: CacheBackend, key: str, kind: str = ENTRY_KIND
-) -> bytes | None:
-    """Load ``key`` from ``backend``, passing ``kind`` only to
-    backends that understand it.  Kind-unaware backends share one
-    namespace for both kinds -- safe, because snapshot keys are
-    derived digests (:func:`snapshot_key`) that cannot collide with
-    entry fingerprints."""
-    if _kind_aware(backend.load):
-        return backend.load(key, kind=kind)
-    return backend.load(key)
-
-
-def backend_store(
-    backend: CacheBackend, key: str, blob: bytes, kind: str = ENTRY_KIND
-) -> None:
-    """Store ``blob`` under ``key``, passing ``kind`` only to backends
-    that understand it (see :func:`backend_load`)."""
-    if _kind_aware(backend.store):
-        backend.store(key, blob, kind=kind)
-    else:
-        backend.store(key, blob)
 
 
 class LocalDirBackend(CacheBackend):
@@ -731,7 +718,7 @@ class CompileCache:
         """
         self.put_memory(key, ctx)
         if self.backend is not None:
-            backend_store(self.backend, key, _dumps(ctx), kind=ENTRY_KIND)
+            self.backend.store(key, _dumps(ctx), kind=ENTRY_KIND)
         with self._lock:
             self.stores += 1
 
@@ -751,7 +738,7 @@ class CompileCache:
             if blob is not None:
                 self._snapshots.move_to_end(key)
         if blob is None and self.backend is not None:
-            blob = backend_load(self.backend, key, kind=SNAPSHOT_KIND)
+            blob = self.backend.load(key, kind=SNAPSHOT_KIND)
         snapshot = None if blob is None else _loads_snapshot(blob)
         if snapshot is None:
             with self._lock:
@@ -787,7 +774,7 @@ class CompileCache:
         key = snapshot_key(prefix_fingerprint)
         self._put_snapshot_memory(key, blob)
         if self.backend is not None:
-            backend_store(self.backend, key, blob, kind=SNAPSHOT_KIND)
+            self.backend.store(key, blob, kind=SNAPSHOT_KIND)
         with self._lock:
             self.snapshot_stores += 1
 
@@ -809,7 +796,7 @@ class CompileCache:
             return _loads(_dumps(ctx))
         if self.backend is None:
             return None
-        blob = backend_load(self.backend, key, kind=ENTRY_KIND)
+        blob = self.backend.load(key, kind=ENTRY_KIND)
         return None if blob is None else _loads(blob)
 
     def _put_snapshot_memory(self, key: str, blob: bytes) -> None:
@@ -877,7 +864,7 @@ class CompileCache:
     def _backend_get(self, key: str) -> "FlowContext | None":
         if self.backend is None:
             return None
-        blob = backend_load(self.backend, key, kind=ENTRY_KIND)
+        blob = self.backend.load(key, kind=ENTRY_KIND)
         if blob is None:
             return None
         return _loads(blob)
@@ -893,7 +880,7 @@ class CompileCache:
         this cache sees exactly what a local cache would have stored.
         """
         if self.backend is not None:
-            blob = backend_load(self.backend, key, kind=kind)
+            blob = self.backend.load(key, kind=kind)
             if blob is not None:
                 return blob
         if kind == SNAPSHOT_KIND:
@@ -920,7 +907,7 @@ class CompileCache:
             True when the entry was accepted.
         """
         if self.backend is not None:
-            backend_store(self.backend, key, blob, kind=kind)
+            self.backend.store(key, blob, kind=kind)
             with self._lock:
                 if kind == SNAPSHOT_KIND:
                     self.snapshot_stores += 1

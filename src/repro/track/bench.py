@@ -43,13 +43,8 @@ AIG_LEAF_PASSES = (
     "retime",
 )
 
-#: Leaf passes that accept the fingerprint-invisible ``kernel=``
-#: option (:mod:`repro.aig.kernel` backend selection).
-KERNEL_PASSES = ("rewrite", "resub", "dc_rewrite")
-
 #: The kernel pipeline's wide-window pass specs: parameters sized so
-#: the truth-table work (not cut enumeration) dominates, which is the
-#: regime the bit-parallel backend targets.
+#: the truth-table work (not cut enumeration) dominates.
 KERNEL_PIPELINE_SPECS = (
     "resub{support_limit=16,max_divisors=24}",
     "rewrite",
@@ -95,10 +90,8 @@ def build_wide_window_aig(
     Random AND graphs collapse to narrow true supports after
     projection, which starves the windowed table passes; stacking
     XOR/MUX layers over a fixed source row keeps most nodes dependent
-    on every primary input.  This is the workload where the
-    bit-parallel kernel backend's vectorization pays off, so it is
-    what the ``kernel`` pipeline (and the kernel speedup benchmark)
-    runs on.
+    on every primary input, so it is what the ``kernel`` pipeline
+    runs on: the regime where truth-table work dominates.
     """
     from repro.aig import ops
     from repro.aig.graph import AIG
@@ -141,34 +134,11 @@ def annotated_fsm_module():
     return b.build()
 
 
-def _kernelize(spec: str, kernel: str | None) -> str:
-    """Splice ``kernel=<name>`` into a pass spec when the pass takes
-    it.  The option is fingerprint-invisible, so the kernelized and
-    plain pipelines render (and cache) identically."""
-    if kernel is None:
-        return spec
-    name = spec.split("{", 1)[0]
-    if name not in KERNEL_PASSES:
-        return spec
-    if "{" in spec:
-        return spec[:-1] + f",kernel={kernel}}}"
-    return spec + f"{{kernel={kernel}}}"
-
-
-def bench_pipelines(kernel: str | None = None) -> dict[str, PassManager]:
-    """The pipelines that together cover the pass registry.
-
-    ``kernel`` pins the truth-table backend of every pass that takes
-    one (``track record bench --kernel``); the default leaves the
-    usual ``REPRO_KERNEL``/auto resolution in force.
-    """
-    leaf = ",".join(_kernelize(name, kernel) for name in AIG_LEAF_PASSES)
-    wide = ",".join(
-        _kernelize(spec, kernel) for spec in KERNEL_PIPELINE_SPECS
-    )
+def bench_pipelines() -> dict[str, PassManager]:
+    """The pipelines that together cover the pass registry."""
     return {
-        "leaf": PassManager.parse(leaf),
-        "kernel": PassManager.parse(wide),
+        "leaf": PassManager.parse(",".join(AIG_LEAF_PASSES)),
+        "kernel": PassManager.parse(",".join(KERNEL_PIPELINE_SPECS)),
         "optimize": PassManager.parse("optimize"),
         "full": PassManager.parse(FULL_FLOW_SPEC),
         "fsm_lower": PassManager.parse("fsm_encode{realize=case}"),
@@ -225,9 +195,7 @@ def frontend_inputs(seed: int = 0):
     return fsm, table, program, flexible, bindings
 
 
-def bench_result(
-    contexts, seed: int = 0, kernel: str | None = None
-) -> ExperimentResult:
+def bench_result(contexts, seed: int = 0) -> ExperimentResult:
     """Aggregate completed bench contexts into the stored result form.
 
     One assembly point for both entry points -- ``track record bench``
@@ -246,7 +214,6 @@ def bench_result(
         name: pm.spec() for name, pm in bench_pipelines().items()
     }
     result.meta["seed"] = seed
-    result.meta["kernel"] = kernel or "auto"
     slowest = max(
         result.pass_totals.values(), key=lambda t: t.wall_time_s
     )
@@ -257,18 +224,11 @@ def bench_result(
     return result
 
 
-def run_pass_bench(
-    seed: int = 0, kernel: str | None = None
-) -> ExperimentResult:
+def run_pass_bench(seed: int = 0) -> ExperimentResult:
     """Execute every registered pass once and aggregate its timings.
 
     Args:
         seed: workload seed (all inputs are deterministic in it).
-        kernel: truth-table backend pinned onto every kernel-aware
-            pass (``pure``/``numpy``/``auto``); ``None`` leaves the
-            usual resolution in force.  Byte-identical results across
-            backends mean two records differing only in ``kernel``
-            diff with zero structural deltas -- only wall times move.
 
     Returns:
         An :class:`ExperimentResult` named ``bench_passes`` whose
@@ -279,7 +239,7 @@ def run_pass_bench(
     """
     from repro.synth.dc_options import StateAnnotation
 
-    pipelines = bench_pipelines(kernel)
+    pipelines = bench_pipelines()
     table_aig = build_table_aig(seed=seed)
     wide_aig = build_wide_window_aig(seed=seed)
     module = annotated_fsm_module()
@@ -297,12 +257,10 @@ def run_pass_bench(
         pipelines["useq_lower"].compile(ctrl=program),
         pipelines["bind"].compile(flexible, bindings=bindings),
     ]
-    return bench_result(contexts, seed, kernel)
+    return bench_result(contexts, seed)
 
 
-def store_bench_record(
-    contexts, store_dir, commit: str = "HEAD", seed=0, kernel=None
-):
+def store_bench_record(contexts, store_dir, commit: str = "HEAD", seed=0):
     """Persist bench contexts as this commit's ``bench_passes`` record.
 
     The record is shaped identically to what ``track record bench``
@@ -320,7 +278,7 @@ def store_bench_record(
     record = RunRecord(
         figure=BENCH_FIGURE,
         commit=resolve_ref(commit),
-        result=bench_result(contexts, seed, kernel),
+        result=bench_result(contexts, seed),
         library=DesignCompiler().library.canonical_hash(),
         created_at=now(),
     )

@@ -55,6 +55,11 @@ def test_unknown_option_suggests_neighbour():
     diags = check_spec("optimize{effort_round=3}")
     assert [d.code for d in diags] == ["CHK102"]
     assert "did you mean 'effort_rounds'?" in diags[0].suggestion
+    # The retired kernel switch: a stale spec fails closed.
+    diags = check_spec("rewrite{kernel=pure}")
+    assert [d.code for d in diags] == ["CHK102"]
+    with pytest.raises(FlowError, match="CHK102"):
+        PassManager.parse("rewrite{kernel=pure}")
 
 
 def test_type_and_range_are_distinct_codes():

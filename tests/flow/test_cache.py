@@ -1,5 +1,11 @@
 """The compile cache: fingerprints, hit/miss/invalidation, disk layer."""
 
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.flow import (
@@ -450,3 +456,47 @@ def test_anonymous_pass_has_no_spec_form():
         PassManager([Anonymous()]).compile(
             build_rom_module(), cache=CompileCache()
         )
+
+
+# ---------------------------------------------------------------------
+# The code that computed a result is part of its key.
+# ---------------------------------------------------------------------
+
+#: Compiles one small AIG against a disk cache and prints where the
+#: result came from.  Run in a fresh interpreter per source tree.
+_PROBE = """
+import sys
+from repro.flow import CompileCache, PassManager
+from repro.track.bench import build_table_aig
+
+cache = CompileCache(sys.argv[1])
+PassManager.parse("rewrite").compile(aig=build_table_aig(), cache=cache)
+print(f"disk_hits={cache.disk_hits} misses={cache.misses}")
+"""
+
+
+def _probe(src: Path, cache_dir: Path) -> str:
+    done = subprocess.run(
+        [sys.executable, "-c", _PROBE, str(cache_dir)],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return done.stdout.strip()
+
+
+def test_editing_pass_source_turns_disk_hits_into_misses(tmp_path):
+    src = Path(__file__).resolve().parents[2] / "src"
+    ignore = shutil.ignore_patterns("__pycache__", "*.pyc")
+    original = shutil.copytree(src, tmp_path / "original", ignore=ignore)
+    unedited = shutil.copytree(src, tmp_path / "unedited", ignore=ignore)
+    edited = shutil.copytree(src, tmp_path / "edited", ignore=ignore)
+    with open(edited / "repro" / "aig" / "rewrite.py", "a") as handle:
+        handle.write("\n# an edit that changes no behaviour\n")
+    cache_dir = tmp_path / "cache"
+
+    assert _probe(original, cache_dir) == "disk_hits=0 misses=1"
+    # Same code at another path: the key covers content, not location.
+    assert _probe(unedited, cache_dir) == "disk_hits=1 misses=0"
+    assert _probe(edited, cache_dir) == "disk_hits=0 misses=1"

@@ -99,3 +99,23 @@ def test_unobserved_cycle_removed():
     aig.add_po("o", a)
     swept, removed = seq_sweep(aig)
     assert removed == 2
+
+
+def test_pipeline_live_only_through_next_cones():
+    """r reaches the output only through q's and then p's next-state
+    cones; the stuck latch s in the output cone is removed without
+    stranding the pipeline."""
+    aig = AIG()
+    a = aig.add_pi("a")
+    p = aig.add_latch("p")
+    q = aig.add_latch("q")
+    r = aig.add_latch("r")
+    s = aig.add_latch("s")
+    aig.set_latch_next(r, a)
+    aig.set_latch_next(q, aig.xor(r, a))
+    aig.set_latch_next(p, q)
+    aig.set_latch_next(s, s)  # stuck at 0
+    aig.add_po("o", aig.or_(p, s))
+    swept, removed = seq_sweep(aig)
+    assert removed == 1
+    assert [latch.name for latch in swept.latches] == ["p", "q", "r"]
