@@ -8,9 +8,18 @@ observability, divisor selection, cut merging and ISOP cover planning
 ``i``).  It lives on one stateless :class:`PureBackend`, shared
 through :func:`resolve_backend`; windowed sweeping costs are bounded
 by the callers' ``support_limit``.
+
+The same small cut functions recur across passes, designs and
+compiles, so the two per-cut-function kernels -- ISOP covers and cut
+expansion -- are memoized process-wide in bounded LRU caches
+(:func:`isop_memo`, :func:`expansion_memo`).  Both are pure functions
+of their keys, so the memos change no result, only how often it is
+computed.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from repro.aig.graph import lit_node, lit_sign
 from repro.aig.tt_util import expand_table, project_table, remove_var
@@ -21,6 +30,7 @@ from repro.tables.bits import (
     popcount,
     tt_support,
 )
+from repro.tables.cube import Cube
 from repro.tables.isop import isop
 
 #: Sentinel variable standing for "the node under analysis" while its
@@ -29,35 +39,44 @@ from repro.tables.isop import isop
 NU = -1
 
 
+#: Entries kept by :func:`isop_memo` (least recently used evicted).
+ISOP_MEMO_SIZE = 4096
+
+#: Entries kept by :func:`expansion_memo` (least recently used evicted).
+EXPANSION_MEMO_SIZE = 4096
+
+
+@lru_cache(maxsize=ISOP_MEMO_SIZE)
+def isop_memo(on: int, dc: int, num_vars: int) -> tuple[Cube, ...]:
+    """:func:`repro.tables.isop.isop`, memoized; the cover is a tuple
+    so that every caller shares it safely."""
+    return tuple(isop(on, dc, num_vars))
+
+
+@lru_cache(maxsize=EXPANSION_MEMO_SIZE)
+def expansion_memo(table: int, positions: tuple[int, ...], num_to: int) -> int:
+    """``table`` over ``len(positions)`` variables re-expressed over
+    ``num_to`` variables, its variable ``i`` becoming variable
+    ``positions[i]`` (ascending), memoized."""
+    return expand_table(table, positions, tuple(range(num_to)))
+
+
 class PureBackend:
     """Big-int truth-table kernels: the AIG passes' batch operations."""
 
     def expand_cut(self, table, from_leaves, to_leaves):
-        """Re-express a cut table over a superset of leaves (the
-        cut-enumeration merge primitive)."""
+        """Re-express a cut table over a sorted superset of its leaves
+        (the cut-enumeration merge primitive)."""
         if from_leaves == to_leaves:
             return table
-        num_to = len(to_leaves)
-        if not from_leaves:
-            # Constant table (0 in practice): replicate over the new
-            # universe.
-            return all_ones(num_to) if table & 1 else 0
-        positions = [to_leaves.index(leaf) for leaf in from_leaves]
-        result = 0
-        for minterm in range(1 << num_to):
-            source = 0
-            for from_var, to_var in enumerate(positions):
-                if minterm >> to_var & 1:
-                    source |= 1 << from_var
-            if table >> source & 1:
-                result |= 1 << minterm
-        return result
+        positions = tuple(map(to_leaves.index, from_leaves))
+        return expansion_memo(table, positions, len(to_leaves))
 
     def isop_cover(self, on, dc, num_vars):
         """An irredundant SOP cover of any ``g`` with
-        ``on <= g <= on | dc`` (the cube list the cover replay
+        ``on <= g <= on | dc`` (the cube tuple the cover replay
         materialises)."""
-        return isop(on, dc, num_vars)
+        return isop_memo(on, dc, num_vars)
 
     # -- batched window simulation ------------------------------------
     def node_table(self, f0, f1, tables, support_limit):

@@ -96,6 +96,19 @@ def _transform(table: int, perm: tuple[int, ...], phases: int, arity: int) -> in
 
 _match_table_cache: dict[str, _MatchTable] = {}
 
+#: Entries kept by :func:`support_reduction` (least recently used
+#: evicted).
+REDUCTION_MEMO_SIZE = 4096
+
+
+@lru_cache(maxsize=REDUCTION_MEMO_SIZE)
+def support_reduction(table: int, size: int) -> tuple[tuple[int, ...], int]:
+    """``(support, reduced)``: the variable positions ``table`` depends
+    on and the table projected onto them, memoized -- the same cut
+    functions recur across nodes, designs and compiles."""
+    support = tt_support(table, size)
+    return support, project_table(table, support, size)
+
 
 def _matches_for(library: Library) -> _MatchTable:
     # Keyed on the library's *content* hash, not id(): two Library
@@ -143,12 +156,10 @@ def map_aig(aig: AIG, library: Library | None = None) -> MappedNetlist:
                 if cut.leaves == (node,):
                     continue
                 table = cut.table if phase == 0 else cut.table ^ all_ones(cut.size)
-                support = tt_support(table, cut.size)
+                support, reduced = support_reduction(table, cut.size)
                 if len(support) < cut.size:
-                    reduced = project_table(table, support, cut.size)
                     leaves = tuple(cut.leaves[i] for i in support)
                 else:
-                    reduced = table
                     leaves = cut.leaves
                 if not leaves:
                     # Constant under folding; realized by tie cells.
