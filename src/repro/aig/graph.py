@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from typing import Iterable
 
 CONST0 = 0
 CONST1 = 1
@@ -279,6 +280,36 @@ class AIG:
             else:
                 sources.add(node)
         return sources
+
+    def live_nodes(self, dead_latches: Iterable[int] = ()) -> set[int]:
+        """Nodes that can influence a primary output (node 0 excluded).
+
+        The liveness fixpoint as one worklist walk from the POs: a
+        live node's fanins are live, and a live latch output makes its
+        next-state cone live -- so a latch feeding only itself stays
+        dead, unlike in a walk rooted at every latch next.  Each node
+        is visited at most once.
+
+        Args:
+            dead_latches: latch output nodes whose next-state cones
+                do not count (stuck latches about to be replaced by
+                constants); the latch nodes themselves are still
+                reported when reached.
+        """
+        dead = set(dead_latches)
+        live: set[int] = set()
+        stack = [lit_node(lit) for _, lit in self._pos]
+        while stack:
+            node = stack.pop()
+            if node in live or node == 0:
+                continue
+            live.add(node)
+            if self.is_and(node):
+                stack.append(lit_node(self._nodes.fanin0[node]))
+                stack.append(lit_node(self._nodes.fanin1[node]))
+            elif node in self._latch_of_node and node not in dead:
+                stack.append(lit_node(self.latch_for_node(node).next_lit))
+        return live
 
     def fanout_counts(self) -> list[int]:
         """Static fanout count per node over all combinational cones."""

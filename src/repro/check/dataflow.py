@@ -495,39 +495,16 @@ def analyze_microcode(
 # ---------------------------------------------------------------------
 # Liveness on AIGs and mapped netlists
 # ---------------------------------------------------------------------
-def aig_live_nodes(aig) -> "set[int]":
-    """Nodes that can influence a primary output.
-
-    The liveness fixpoint: primary-output cones are live, and a
-    latch's next-state cone is live iff the latch's *output* is --
-    which is exactly where this beats the CHK402 walk (that one roots
-    at every latch next unconditionally, so a latch feeding only
-    itself keeps its whole cone "reachable")."""
-    latch_by_node = {latch.node: latch for latch in aig.latches}
-
-    def successors(node):
-        succ = []
-        if aig.is_and(node):
-            succ.extend((fanin >> 1, None) for fanin in aig.fanins(node))
-        latch = latch_by_node.get(node)
-        if latch is not None:
-            succ.append((latch.next_lit >> 1, None))
-        return succ
-
-    entries = {lit >> 1: True for _, lit in aig.pos}
-    facts = solve(successors, entries, BoolLattice())
-    return {node for node, fact in facts.items() if fact}
-
-
 def analyze_aig(aig) -> "list[Diagnostic]":
     """CHK706: logic cones no primary output depends on.
 
     Reports AND nodes and latches outside every primary-output cone
-    under the liveness fixpoint of :func:`aig_live_nodes` -- strictly
-    stronger than CHK402's dangling-node walk, which keeps any cone a
-    latch next references even when the latch itself is unobservable.
+    under the liveness fixpoint of :meth:`~repro.aig.graph.AIG.live_nodes`
+    -- strictly stronger than CHK402's dangling-node walk, which keeps
+    any cone a latch next references even when the latch itself is
+    unobservable.
     """
-    live = aig_live_nodes(aig)
+    live = aig.live_nodes()
     dead_latches = [
         latch.name for latch in aig.latches if latch.node not in live
     ]

@@ -23,7 +23,6 @@ is given).
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 
@@ -100,12 +99,6 @@ def main(argv: list[str] | None = None) -> int:
         help="disable the compile cache for this run",
     )
     parser.add_argument(
-        "--no-snapshots", action="store_true",
-        help="disable stage snapshots and prefix-resume for this run "
-        "(sets REPRO_SNAPSHOTS=0 for the figure drivers and their "
-        "workers; prefixgrid's pinned comparison is unaffected)",
-    )
-    parser.add_argument(
         "--store-dir", default=".repro-runs", metavar="DIR",
         help="run store the techsweep/replay drivers record into "
         "(default: %(default)s; other figures record via "
@@ -154,11 +147,6 @@ def main(argv: list[str] | None = None) -> int:
         )
     workers = args.jobs if args.jobs > 0 else default_workers()
     cache = None if args.no_cache else CompileCache(args.cache_dir)
-    if args.no_snapshots:
-        # Environment, not a kwarg: worker processes and the snapshot
-        # policy default both read REPRO_SNAPSHOTS, so one knob covers
-        # serial, pooled, and server-side compiles alike.
-        os.environ["REPRO_SNAPSHOTS"] = "0"
 
     chunks = []
     for name in names:

@@ -166,7 +166,7 @@ class ExperimentResult:
         them, so a warm sweep aggregates the *same* totals as the cold
         run it hit on -- which is exactly what makes a re-recorded
         commit diff clean against itself.  The same holds for compiles
-        resumed from a stage snapshot (their restored records replay
+        resumed from a cached prefix (their restored records replay
         the prefix's provenance); those are additionally tallied into
         ``meta["prefix_hits"]``/``meta["prefix_passes_skipped"]`` so a
         stored run reports how much the prefix cache saved it.

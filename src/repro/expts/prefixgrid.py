@@ -1,6 +1,6 @@
 """Cold-grid benchmark: prefix-memoized compilation vs baseline.
 
-The techsweep grid is the motivating workload for stage snapshots:
+The techsweep grid is the motivating workload for prefix resume:
 every (design, recipe, library) variant of one design shares the
 design's frontend lowering, the two recipes share ``elaborate,
 optimize``, and the libraries of one recipe share everything up to
@@ -8,15 +8,15 @@ optimize``, and the libraries of one recipe share everything up to
 prefix for every variant of a *cold* grid.
 
 This driver quantifies the win.  It compiles the identical techsweep
-job grid twice, each time against a **fresh** temporary cache (cold
-is the point -- a warm cache hides the prefix machinery entirely):
+job grid twice, cold (a warm cache hides the prefix machinery
+entirely):
 
-* *baseline*: snapshots disabled -- every job runs its full pipeline,
-  exactly the pre-snapshot behaviour;
-* *prefix*: stage snapshots and the prefix-trie scheduler on -- the
-  planner forces a snapshot at every shared prefix boundary, so each
-  shared prefix is executed exactly once and every other variant
-  resumes past it.
+* *baseline*: no cache -- every job runs its full pipeline, exactly
+  the all-or-nothing behaviour;
+* *prefix*: a **fresh** temporary cache, so resume points and the
+  prefix-trie scheduler are on -- the planner forces a resume point
+  at every shared prefix boundary, so each shared prefix is executed
+  exactly once and every other variant resumes past it.
 
 The figure of merit is ``execution_ratio``: baseline pass executions
 over prefix-phase pass executions (resumed records replay for free
@@ -43,7 +43,7 @@ from repro.expts.techsweep import (
     resolve_libraries,
     swept_libraries_hash,
 )
-from repro.flow import CompileCache, SnapshotPolicy, compile_many
+from repro.flow import CompileCache, compile_many
 from repro.flow.core import FlowError
 
 
@@ -51,7 +51,7 @@ def executed_records(ctx) -> int:
     """How many of a context's pass records this compile *executed*.
 
     A resumed compile restores ``resumed_records`` records from the
-    snapshot (replayed provenance, zero work) and appends one record
+    resume point (replayed provenance, zero work) and appends one record
     per pass actually run; a from-scratch compile executed them all.
     """
     meta = getattr(ctx, "meta", None) or {}
@@ -81,14 +81,15 @@ def run_prefixgrid(
     store_dir=None,
     commit: str = "HEAD",
 ) -> ExperimentResult:
-    """Compile the techsweep grid cold, with and without snapshots.
+    """Compile the techsweep grid cold, with and without prefix resume.
 
     Args:
         scale: grid size (``small``/``medium``/``paper``).
         clock_period_ns: common relaxed timing target.
         workers: process fan-out for both phases.
-        cache: ignored -- both phases run against fresh temporary
-            caches, because the measurement only means anything cold
+        cache: ignored -- the baseline runs uncached and the prefix
+            phase against a fresh temporary cache, because the
+            measurement only means anything cold
             (accepted so ``track record`` can drive every figure
             uniformly).
         server: ignored, for the same reason.
@@ -114,22 +115,10 @@ def run_prefixgrid(
     libraries = resolve_libraries(libraries)
     jobs = build_jobs(scale, clock_period_ns, libraries)
 
-    # The snapshot policy is pinned, not read from the environment:
-    # a stored prefixgrid record must measure the same machinery on
-    # every machine that records it.
-    with tempfile.TemporaryDirectory(prefix="prefixgrid-base-") as tmp:
-        baseline = compile_many(
-            jobs,
-            workers=workers,
-            cache=CompileCache(tmp),
-            snapshots=False,
-        )
+    baseline = compile_many(jobs, workers=workers, cache=None)
     with tempfile.TemporaryDirectory(prefix="prefixgrid-snap-") as tmp:
         prefixed = compile_many(
-            jobs,
-            workers=workers,
-            cache=CompileCache(tmp),
-            snapshots=SnapshotPolicy(),
+            jobs, workers=workers, cache=CompileCache(tmp)
         )
 
     result = ExperimentResult(

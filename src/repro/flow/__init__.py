@@ -62,13 +62,9 @@ from repro.flow.cache import (
     CacheBackend,
     CompileCache,
     LocalDirBackend,
-    SnapshotPolicy,
-    StageSnapshot,
     SweepStats,
     fingerprint_prefixes,
     flow_fingerprint,
-    resolve_snapshot_policy,
-    snapshot_key,
 )
 from repro.flow.combinators import (
     Conditional,
@@ -140,8 +136,6 @@ __all__ = [
     "RunDiff",
     "RunRecord",
     "RunStore",
-    "SnapshotPolicy",
-    "StageSnapshot",
     "StoreError",
     "SweepStats",
     "WhileProgress",
@@ -159,9 +153,7 @@ __all__ = [
     "register_pass",
     "registered_pass_names",
     "render_log",
-    "resolve_snapshot_policy",
     "retime_stage",
-    "snapshot_key",
     "run_default_flow",
     "state_folding",
     "until_converged",

@@ -84,18 +84,11 @@ if TYPE_CHECKING:
 #: must never collide.
 FINGERPRINT_VERSION = 5
 
-#: Bump whenever the stage-snapshot envelope or the meaning of a
-#: restored mid-pipeline context changes: snapshot keys are derived
-#: from this version, so a bump orphans (never mis-reads) old
-#: snapshots, and the envelope's own version field rejects skewed
-#: blobs that still arrive through a shared backend.
-SNAPSHOT_VERSION = 1
-
-#: The two entry kinds a cache backend may be asked to move: completed
-#: compile results (the historical namespace) and mid-pipeline stage
-#: snapshots (see :meth:`CacheBackend.load`).
-ENTRY_KIND = "entry"
-SNAPSHOT_KIND = "snapshot"
+#: Bound of the in-memory resume-point layer (pickled bytes, see
+#: :meth:`CompileCache.put_snapshot`).  Mid-pipeline contexts are
+#: bigger and shorter-lived than completed entries, so they get their
+#: own, smaller LRU.
+RESUME_MEMORY_ENTRIES = 32
 
 #: The pickle-tolerance set: anything a truncated, stale, or
 #: wrong-version entry can raise while loading.  Shared by every
@@ -300,9 +293,9 @@ def fingerprint_prefixes(
     *digest-identical* to calling :func:`flow_fingerprint` on that
     prefix's spec with the same inputs: the fingerprint of a pipeline
     that genuinely ends at pass ``k`` and of the length-``k`` prefix
-    of a longer pipeline are the same key, which is what makes stage
-    snapshots shareable across recipes that diverge after a common
-    prefix.
+    of a longer pipeline are the same key, which is what makes resume
+    points shareable across recipes that diverge after a common
+    prefix (and lets them live in the completed-entry namespace).
 
     Returns:
         One hex digest per prefix, in prefix order (the last is the
@@ -321,135 +314,46 @@ def fingerprint_prefixes(
     return [_spec_digest(spec, chunks) for spec in prefix_specs]
 
 
-def snapshot_key(prefix_fingerprint: str) -> str:
-    """The backend key a stage snapshot is stored under.
-
-    Derived (not equal): hashing the prefix fingerprint with a
-    kind/version tag keeps snapshots out of the completed-entry
-    namespace even on a backend that keeps both kinds in one store,
-    keeps the key a 64-hex digest the server's wire validation
-    accepts, and makes a :data:`SNAPSHOT_VERSION` bump orphan old
-    snapshots instead of mis-reading them.
-    """
-    tag = f"stage-snapshot:{SNAPSHOT_VERSION}:{prefix_fingerprint}"
-    return hashlib.sha256(tag.encode()).hexdigest()
-
-
-@dataclass(frozen=True)
-class StageSnapshot:
-    """The versioned envelope a stage snapshot pickles as.
-
-    ``ctx`` is the mid-pipeline :class:`FlowContext` exactly as it
-    stood after ``passes_done`` top-level passes of ``prefix_spec``.
-    Readers validate ``version`` (and the envelope type itself) before
-    trusting the payload; anything else -- including an old reader
-    that has never heard of this class -- reads as a cache miss
-    through the :data:`UNPICKLE_ERRORS` tolerance.
-    """
-
-    version: int
-    prefix_spec: str
-    passes_done: int
-    ctx: FlowContext
-
-
-@dataclass(frozen=True)
-class SnapshotPolicy:
-    """When a resumable compile persists a mid-pipeline snapshot.
-
-    Snapshots cost a pickle and backend write each, so the policy
-    bounds them to the boundaries worth resuming from: every *stage*
-    boundary (the representation changed -- elaboration, mapping),
-    every pass slower than ``min_pass_seconds`` (the work worth not
-    redoing), and every boundary a scheduler forces (the prefix-trie
-    planner marks prefixes shared by several jobs).  The pipeline's
-    final pass never snapshots -- the completed entry already covers
-    it.
-
-    Environment knobs (read by :meth:`from_env`, which every executor
-    defaults to): ``REPRO_SNAPSHOTS=0`` disables snapshotting and
-    resuming entirely; ``REPRO_SNAPSHOT_MIN_S`` overrides the
-    wall-time threshold (seconds).
-    """
-
-    enabled: bool = True
-    min_pass_seconds: float = 0.05
-    stage_boundaries: bool = True
-
-    @classmethod
-    def from_env(cls) -> "SnapshotPolicy":
-        if os.environ.get("REPRO_SNAPSHOTS", "").strip().lower() in (
-            "0", "off", "no", "false",
-        ):
-            return cls(enabled=False)
-        raw = os.environ.get("REPRO_SNAPSHOT_MIN_S", "").strip()
-        if raw:
-            try:
-                return cls(min_pass_seconds=float(raw))
-            except ValueError:
-                pass  # a malformed override keeps the default
-        return cls()
-
-    def should_snapshot(
-        self,
-        *,
-        wall_time_s: float,
-        stage_changed: bool,
-        forced: bool = False,
-    ) -> bool:
-        if not self.enabled:
-            return False
-        if forced:
-            return True
-        if self.stage_boundaries and stage_changed:
-            return True
-        return wall_time_s >= self.min_pass_seconds
-
-
-def resolve_snapshot_policy(
-    snapshots: "SnapshotPolicy | bool | None",
-) -> SnapshotPolicy:
-    """The policy an executor's ``snapshots=`` argument means:
-    ``None`` defers to the environment, booleans toggle the default
-    policy, and an explicit :class:`SnapshotPolicy` wins as given."""
-    if snapshots is None:
-        return SnapshotPolicy.from_env()
-    if snapshots is True:
-        return SnapshotPolicy()
-    if snapshots is False:
-        return SnapshotPolicy(enabled=False)
-    return snapshots
-
-
 class CacheBackend:
     """The protocol of a :class:`CompileCache` persistence layer.
 
     A backend is a key-value store of raw entry bytes keyed by
-    :func:`flow_fingerprint` digests.  It never sees the pickling --
-    serialization stays in :class:`CompileCache`, so every backend
-    (local directory, remote server, tiered combinations) moves opaque
-    blobs and the corrupt-entry tolerance lives in exactly one place.
+    :func:`flow_fingerprint` digests -- completed results and
+    mid-pipeline resume points alike, since a prefix fingerprint is
+    the full fingerprint of the pipeline that ends there.  It never
+    sees the pickling -- serialization stays in :class:`CompileCache`,
+    so every backend (local directory, remote server, tiered
+    combinations) moves opaque blobs and the corrupt-entry tolerance
+    lives in exactly one place.
 
     Backends must be safe to call from multiple threads: the cache
     invokes them outside its own lock so slow I/O never serializes
     unrelated lookups.
     """
 
-    def load(self, key: str, kind: str = ENTRY_KIND) -> bytes | None:
-        """The stored ``kind`` blob (:data:`ENTRY_KIND` or
-        :data:`SNAPSHOT_KIND`) for ``key``, or ``None`` on a miss.
-        I/O failures read as misses, never as errors."""
+    def load(self, key: str) -> bytes | None:
+        """The stored blob for ``key``, or ``None`` on a miss.  I/O
+        failures read as misses, never as errors."""
         raise NotImplementedError
 
-    def store(self, key: str, blob: bytes, kind: str = ENTRY_KIND) -> None:
-        """Persist ``blob`` under ``key`` as ``kind``, replacing any
-        previous entry.  Concurrent writers of the same key must be
-        safe."""
+    def store(self, key: str, blob: bytes) -> None:
+        """Persist ``blob`` under ``key``, replacing any previous
+        entry.  Concurrent writers of the same key must be safe."""
         raise NotImplementedError
 
     def stats(self) -> dict:
         """A JSON-safe description of the backend for ``/stats``."""
         return {"kind": type(self).__name__}
+
+    def sweep(
+        self,
+        max_bytes: int | None = None,
+        max_age_days: float | None = None,
+    ) -> "SweepStats":
+        """Evict stored entries (see :meth:`CompileCache.sweep` for
+        the contract).  A store this process cannot garbage-collect
+        (a remote server owns its own) sweeps nothing."""
+        return SweepStats()
 
 
 class LocalDirBackend(CacheBackend):
@@ -463,23 +367,18 @@ class LocalDirBackend(CacheBackend):
     def __init__(self, path: str | os.PathLike) -> None:
         self.path = Path(path)
 
-    def entry_file(self, key: str, kind: str = ENTRY_KIND) -> Path:
+    def entry_file(self, key: str) -> Path:
         # Two-level fanout keeps directories small on big sweeps.
-        # Stage snapshots live under a third path level (``snap/``):
-        # pre-snapshot readers glob exactly ``*/*.pkl``, so the extra
-        # component keeps the new kind invisible to them.
-        if kind == SNAPSHOT_KIND:
-            return self.path / "snap" / key[:2] / f"{key}.pkl"
         return self.path / key[:2] / f"{key}.pkl"
 
-    def load(self, key: str, kind: str = ENTRY_KIND) -> bytes | None:
+    def load(self, key: str) -> bytes | None:
         try:
-            return self.entry_file(key, kind).read_bytes()
+            return self.entry_file(key).read_bytes()
         except OSError:
             return None
 
-    def store(self, key: str, blob: bytes, kind: str = ENTRY_KIND) -> None:
-        entry = self.entry_file(key, kind)
+    def store(self, key: str, blob: bytes) -> None:
+        entry = self.entry_file(key)
         entry.parent.mkdir(parents=True, exist_ok=True)
         # Atomic publish: concurrent workers may race on the same key,
         # and a reader must never observe a half-written pickle.
@@ -498,36 +397,33 @@ class LocalDirBackend(CacheBackend):
                 pass
             raise
 
-    def _listing(self, kind: str) -> "list[Path]":
-        # ``*/*.pkl`` matches exactly two path components, so entries
-        # and snapshots (three components, under ``snap/``) never
-        # appear in each other's listing.
-        pattern = "snap/*/*.pkl" if kind == SNAPSHOT_KIND else "*/*.pkl"
+    def _entries(self) -> "list[tuple[float, int, Path]]":
+        """``(mtime, size, file)`` of every stored entry; foreign and
+        vanishing files are skipped."""
         try:
             if not self.path.is_dir():
                 return []
-            return list(self.path.glob(pattern))
+            files = list(self.path.glob("*/*.pkl"))
         except OSError:
             return []  # an unreadable cache directory reads as empty
+        entries = []
+        for file in files:
+            try:
+                if not file.is_file():
+                    continue  # a directory named *.pkl is not ours
+                stat = file.stat()
+            except OSError:
+                continue  # deleted (or unreadable) under us: skip
+            entries.append((stat.st_mtime, stat.st_size, file))
+        return entries
 
     def stats(self) -> dict:
-        counts = {ENTRY_KIND: 0, SNAPSHOT_KIND: 0}
-        sizes = {ENTRY_KIND: 0, SNAPSHOT_KIND: 0}
-        for kind in (ENTRY_KIND, SNAPSHOT_KIND):
-            for file in self._listing(kind):
-                try:
-                    size = file.stat().st_size
-                except OSError:
-                    continue
-                counts[kind] += 1
-                sizes[kind] += size
+        entries = self._entries()
         return {
             "kind": "local-dir",
             "path": str(self.path),
-            "entries": counts[ENTRY_KIND],
-            "snapshots": counts[SNAPSHOT_KIND],
-            "entry_bytes": sizes[ENTRY_KIND],
-            "snapshot_bytes": sizes[SNAPSHOT_KIND],
+            "entries": len(entries),
+            "entry_bytes": sum(size for _, size, _ in entries),
         }
 
     # -- garbage collection -------------------------------------------
@@ -536,69 +432,52 @@ class LocalDirBackend(CacheBackend):
         max_bytes: int | None = None,
         max_age_days: float | None = None,
     ) -> "SweepStats":
-        """Evict entries by age, then by size budget (see
-        :meth:`CompileCache.sweep` for the contract).
-
-        Completed entries and stage snapshots are swept jointly: one
-        age horizon, one size budget, oldest-first across both kinds
-        (a snapshot is exactly as re-computable as an entry, so
-        neither deserves protection from the other).  ``scanned`` /
-        ``removed`` / byte totals cover both kinds; the snapshot share
-        is broken out in ``scanned_snapshots``/``removed_snapshots``.
-        """
-        entries: list[tuple[float, int, Path, str]] = []
-        for kind in (ENTRY_KIND, SNAPSHOT_KIND):
-            for file in self._listing(kind):
-                try:
-                    if not file.is_file():
-                        continue  # a directory named *.pkl is not ours
-                    stat = file.stat()
-                except OSError:
-                    continue  # deleted (or unreadable) under us: skip
-                entries.append((stat.st_mtime, stat.st_size, file, kind))
-        bytes_before = sum(size for _, size, _, _ in entries)
+        """Evict entries by age, then oldest-first by size budget.
+        Resume points are entries like any other: one listing, one
+        age horizon, one budget."""
+        entries = self._entries()
+        bytes_before = sum(size for _, size, _ in entries)
         scanned = len(entries)
-        scanned_snapshots = sum(
-            1 for e in entries if e[3] == SNAPSHOT_KIND
-        )
 
-        doomed: list[tuple[float, int, Path, str]] = []
+        doomed: list[tuple[float, int, Path]] = []
         if max_age_days is not None:
             horizon = time.time() - max_age_days * 86400.0
             doomed = [e for e in entries if e[0] < horizon]
             entries = [e for e in entries if e[0] >= horizon]
         if max_bytes is not None:
             entries.sort(key=lambda e: e[:2])  # oldest first
-            kept_bytes = sum(size for _, size, _, _ in entries)
+            kept_bytes = sum(size for _, size, _ in entries)
             while entries and kept_bytes > max_bytes:
                 victim = entries.pop(0)
                 kept_bytes -= victim[1]
                 doomed.append(victim)
 
         removed = 0
-        removed_snapshots = 0
         freed = 0
-        for _, size, file, kind in doomed:
+        for _, size, file in doomed:
             try:
                 os.unlink(file)
             except OSError:
                 continue  # already gone: someone else swept it
             removed += 1
-            removed_snapshots += int(kind == SNAPSHOT_KIND)
             freed += size
         return SweepStats(
             scanned=scanned,
             removed=removed,
             bytes_before=bytes_before,
             bytes_after=bytes_before - freed,
-            scanned_snapshots=scanned_snapshots,
-            removed_snapshots=removed_snapshots,
         )
 
 
 class CompileCache:
-    """A two-layer (memory LRU, optional backend) store of completed
-    flow contexts, keyed by :func:`flow_fingerprint`.
+    """A two-layer (memory LRU, optional backend) store of flow
+    contexts, keyed by :func:`flow_fingerprint`.
+
+    One namespace holds completed results and mid-pipeline *resume
+    points* (:meth:`put_snapshot`): a prefix fingerprint is the full
+    fingerprint of the pipeline that ends there, so a resume point is
+    the completed result of that shorter pipeline, and either kind of
+    store serves both :meth:`get` and :meth:`get_prefix_entry`.
 
     Args:
         path: directory of an on-disk :class:`LocalDirBackend`;
@@ -608,10 +487,6 @@ class CompileCache:
         backend: an explicit :class:`CacheBackend` (mutually exclusive
             with ``path``) -- e.g. the remote or tiered backends of
             :mod:`repro.serve.backends`.
-        max_snapshot_entries: LRU bound of the in-memory *snapshot*
-            layer.  Snapshots are mid-pipeline contexts -- bigger and
-            shorter-lived than completed entries -- so they get their
-            own, smaller bound.
     """
 
     def __init__(
@@ -619,16 +494,10 @@ class CompileCache:
         path: str | os.PathLike | None = None,
         max_memory_entries: int = 512,
         backend: CacheBackend | None = None,
-        max_snapshot_entries: int = 32,
     ) -> None:
         if max_memory_entries < 1:
             raise ValueError(
                 f"max_memory_entries must be >= 1, got {max_memory_entries}"
-            )
-        if max_snapshot_entries < 1:
-            raise ValueError(
-                f"max_snapshot_entries must be >= 1, got "
-                f"{max_snapshot_entries}"
             )
         if path is not None and backend is not None:
             raise ValueError(
@@ -638,25 +507,22 @@ class CompileCache:
             backend = LocalDirBackend(path)
         self.backend = backend
         self.max_memory_entries = max_memory_entries
-        self.max_snapshot_entries = max_snapshot_entries
         #: One lock guards the LRU dicts and every counter: server
         #: request handlers and pool callbacks share one instance, and
         #: an unguarded OrderedDict corrupts under concurrent movers.
         #: Backend I/O and (un)pickling happen outside the lock.
         self._lock = threading.Lock()
         self._memory: OrderedDict[str, "FlowContext"] = OrderedDict()  # guarded-by: _lock
-        #: The snapshot LRU stores pickled envelope *bytes*, never the
-        #: unpickled context: resuming mutates the restored context in
-        #: place, so handing two resumes one shared object would let
-        #: the first corrupt the second.  Every hit unpickles fresh.
-        self._snapshots: OrderedDict[str, bytes] = OrderedDict()  # guarded-by: _lock
+        #: Resume points stay pickled *bytes*, never the unpickled
+        #: context: resuming mutates the restored context in place, so
+        #: handing two resumes one shared object would let the first
+        #: corrupt the second.  Every hit unpickles fresh.
+        self._resume: OrderedDict[str, bytes] = OrderedDict()  # guarded-by: _lock
         self.memory_hits = 0  # guarded-by: _lock
         self.disk_hits = 0  # guarded-by: _lock
         self.misses = 0  # guarded-by: _lock
         self.stores = 0  # guarded-by: _lock
         self.inflight = 0  # guarded-by: _lock
-        self.snapshot_hits = 0  # guarded-by: _lock
-        self.snapshot_misses = 0  # guarded-by: _lock
         self.snapshot_stores = 0  # guarded-by: _lock
 
     @property
@@ -677,8 +543,10 @@ class CompileCache:
     def get(self, key: str) -> "FlowContext | None":
         """Look up a completed context by fingerprint.
 
-        A backend hit is promoted into the memory layer.  Corrupt or
-        truncated backend entries read as misses, never as errors.
+        A resume point stored under ``key`` answers too (it *is* the
+        completed result of the pipeline ``key`` fingerprints).  Hits
+        are promoted into the memory layer.  Corrupt or truncated
+        entries read as misses, never as errors.
 
         Args:
             key: a :func:`flow_fingerprint` digest.
@@ -693,15 +561,21 @@ class CompileCache:
                 self._memory.move_to_end(key)
                 self.memory_hits += 1
                 return hit
-        hit = self._backend_get(key)
-        if hit is not None:
-            with self._lock:
-                self.disk_hits += 1
-            self.put_memory(key, hit)
-            return hit
+            blob = self._resume.get(key)
+        in_memory = blob is not None
+        if blob is None and self.backend is not None:
+            blob = self.backend.load(key)
+        hit = None if blob is None else _loads(blob)
         with self._lock:
-            self.misses += 1
-        return None
+            if hit is None:
+                self.misses += 1
+            elif in_memory:
+                self.memory_hits += 1
+            else:
+                self.disk_hits += 1
+        if hit is not None:
+            self.put_memory(key, hit)
+        return hit
 
     def put(self, key: str, ctx: "FlowContext") -> None:
         """Store a completed context under ``key`` (memory and
@@ -718,98 +592,74 @@ class CompileCache:
         """
         self.put_memory(key, ctx)
         if self.backend is not None:
-            self.backend.store(key, _dumps(ctx), kind=ENTRY_KIND)
+            self.backend.store(key, _dumps(ctx))
         with self._lock:
             self.stores += 1
 
-    # -- stage snapshots ----------------------------------------------
-    def get_snapshot(self, prefix_fingerprint: str) -> "FlowContext | None":
-        """Restore the mid-pipeline context snapshotted under a prefix
-        fingerprint (:func:`fingerprint_prefixes`), or ``None``.
-
-        Every hit unpickles a *fresh* context -- the caller will
-        mutate it by running the remaining passes, so snapshot hits
-        never share objects (unlike :meth:`get`).  Wrong-version or
-        non-snapshot blobs read as misses.
-        """
-        key = snapshot_key(prefix_fingerprint)
-        with self._lock:
-            blob = self._snapshots.get(key)
-            if blob is not None:
-                self._snapshots.move_to_end(key)
-        if blob is None and self.backend is not None:
-            blob = self.backend.load(key, kind=SNAPSHOT_KIND)
-        snapshot = None if blob is None else _loads_snapshot(blob)
-        if snapshot is None:
-            with self._lock:
-                self.snapshot_misses += 1
-            return None
-        self._put_snapshot_memory(key, blob)
-        with self._lock:
-            self.snapshot_hits += 1
-        return snapshot.ctx
-
+    # -- resume points ------------------------------------------------
     def put_snapshot(
-        self,
-        prefix_fingerprint: str,
-        ctx: "FlowContext",
-        *,
-        prefix_spec: str = "",
-        passes_done: int = 0,
+        self, prefix_fingerprint: str, ctx: "FlowContext"
     ) -> None:
-        """Snapshot a mid-pipeline context under a prefix fingerprint.
+        """Store a mid-pipeline context as the resume point of a
+        pipeline prefix (:func:`fingerprint_prefixes`).
 
         The context is pickled once, here -- the stored bytes are the
-        snapshot's identity from then on, immune to the caller
-        continuing to mutate ``ctx``.
+        resume point's identity from then on, immune to the caller
+        continuing to mutate ``ctx`` -- and the bytes go under the
+        prefix fingerprint itself, in memory and in the backend.
         """
-        blob = _dumps(
-            StageSnapshot(
-                version=SNAPSHOT_VERSION,
-                prefix_spec=prefix_spec,
-                passes_done=passes_done,
-                ctx=ctx,
-            )
-        )
-        key = snapshot_key(prefix_fingerprint)
-        self._put_snapshot_memory(key, blob)
+        blob = _dumps(ctx)
+        self._remember(prefix_fingerprint, blob)
         if self.backend is not None:
-            self.backend.store(key, blob, kind=SNAPSHOT_KIND)
+            self.backend.store(prefix_fingerprint, blob)
         with self._lock:
             self.snapshot_stores += 1
 
     def get_prefix_entry(self, key: str) -> "FlowContext | None":
-        """A completed entry restored *for mutation* -- the resume
-        probe's view of a full compile whose pipeline is a prefix of a
-        longer one (prefix fingerprints are digest-identical to the
-        short pipeline's full fingerprint, so its entry is a valid
-        resume point).
+        """The context stored under ``key`` restored *for mutation* --
+        the resume probe's read, whether a resume point or a completed
+        entry of a shorter pipeline is stored there.
 
         Unlike :meth:`get`, the result is always a fresh copy (memory
-        hits are pickle-roundtripped), never the shared read-only
-        object, and no hit/miss counters move -- cold compiles probe
-        every prefix depth, which would otherwise drown the miss rate.
+        hits are unpickled or pickle-roundtripped), never the shared
+        read-only object, and no hit/miss counters move -- cold
+        compiles probe every prefix depth, which would otherwise drown
+        the miss rate.
         """
         with self._lock:
-            ctx = self._memory.get(key)
+            blob = self._resume.get(key)
+            if blob is not None:
+                self._resume.move_to_end(key)
+            ctx = self._memory.get(key) if blob is None else None
+        if blob is not None:
+            return _loads(blob)
         if ctx is not None:
             return _loads(_dumps(ctx))
         if self.backend is None:
             return None
-        blob = self.backend.load(key, kind=ENTRY_KIND)
-        return None if blob is None else _loads(blob)
+        blob = self.backend.load(key)
+        restored = None if blob is None else _loads(blob)
+        if restored is not None:
+            self._remember(key, blob)
+        return restored
 
-    def _put_snapshot_memory(self, key: str, blob: bytes) -> None:
+    #: The resume read under its earlier name: ``perfbench`` binds a
+    #: trace target to it by name, and that tree changes only with the
+    #: benchmark.
+    get_snapshot = get_prefix_entry
+
+    def _remember(self, key: str, blob: bytes) -> None:
         with self._lock:
-            self._snapshots[key] = blob
-            self._snapshots.move_to_end(key)
-            while len(self._snapshots) > self.max_snapshot_entries:
-                self._snapshots.popitem(last=False)
+            self._resume[key] = blob
+            self._resume.move_to_end(key)
+            while len(self._resume) > RESUME_MEMORY_ENTRIES:
+                self._resume.popitem(last=False)
 
     def stats(self) -> dict:
         """A JSON-safe counter snapshot -- what the compile server
-        exposes at ``/stats``.  ``disk_hits`` counts backend hits of
-        any kind; ``inflight`` is the number of cache-missing compiles
+        exposes at ``/stats``.  ``disk_hits`` counts backend hits;
+        ``snapshot_stores`` counts resume points written;
+        ``inflight`` is the number of cache-missing compiles
         currently executing (maintained by callers through
         :meth:`inflight_begin`/:meth:`inflight_end`)."""
         with self._lock:
@@ -821,10 +671,7 @@ class CompileCache:
                 "stores": self.stores,
                 "inflight": self.inflight,
                 "memory_entries": len(self._memory),
-                "snapshot_hits": self.snapshot_hits,
-                "snapshot_misses": self.snapshot_misses,
                 "snapshot_stores": self.snapshot_stores,
-                "snapshot_entries": len(self._snapshots),
                 "backend": None
                 if self.backend is None
                 else self.backend.stats(),
@@ -860,42 +707,29 @@ class CompileCache:
             while len(self._memory) > self.max_memory_entries:
                 self._memory.popitem(last=False)
 
-    # -- the backend layer --------------------------------------------
-    def _backend_get(self, key: str) -> "FlowContext | None":
-        if self.backend is None:
-            return None
-        blob = self.backend.load(key, kind=ENTRY_KIND)
-        if blob is None:
-            return None
-        return _loads(blob)
-
     # -- raw entry bytes (the server's cache endpoints) ---------------
-    def export_blob(self, key: str, kind: str = ENTRY_KIND) -> bytes | None:
+    def export_blob(self, key: str) -> bytes | None:
         """The raw entry bytes for ``key``, or ``None`` on a miss.
 
-        Serves ``GET /cache/<fingerprint>`` (and, with
-        ``kind=SNAPSHOT_KIND``, ``GET /cache/snap/<key>``): backend
-        bytes are returned verbatim when available; a memory-only hit
-        is pickled on the way out, so a remote client reading through
-        this cache sees exactly what a local cache would have stored.
+        Serves ``GET /cache/<fingerprint>``: backend bytes are returned
+        verbatim when available; a memory-only hit is returned as its
+        pickled bytes, so a remote client reading through this cache
+        sees exactly what a local cache would have stored.
         """
         if self.backend is not None:
-            blob = self.backend.load(key, kind=kind)
+            blob = self.backend.load(key)
             if blob is not None:
                 return blob
-        if kind == SNAPSHOT_KIND:
-            with self._lock:
-                return self._snapshots.get(key)
         with self._lock:
+            blob = self._resume.get(key)
             ctx = self._memory.get(key)
+        if blob is not None:
+            return blob
         return None if ctx is None else _dumps(ctx)
 
-    def import_blob(
-        self, key: str, blob: bytes, kind: str = ENTRY_KIND
-    ) -> bool:
+    def import_blob(self, key: str, blob: bytes) -> bool:
         """Store raw entry bytes under ``key`` (``PUT
-        /cache/<fingerprint>``, or ``PUT /cache/snap/<key>`` with
-        ``kind=SNAPSHOT_KIND``).
+        /cache/<fingerprint>``).
 
         With a backend, the bytes are persisted verbatim (no unpickle
         on the write path -- a server absorbing write-through traffic
@@ -907,24 +741,12 @@ class CompileCache:
             True when the entry was accepted.
         """
         if self.backend is not None:
-            self.backend.store(key, blob, kind=kind)
-            with self._lock:
-                if kind == SNAPSHOT_KIND:
-                    self.snapshot_stores += 1
-                else:
-                    self.stores += 1
-            return True
-        if kind == SNAPSHOT_KIND:
-            if _loads_snapshot(blob) is None:
+            self.backend.store(key, blob)
+        else:
+            ctx = _loads(blob)
+            if ctx is None:
                 return False
-            self._put_snapshot_memory(key, blob)
-            with self._lock:
-                self.snapshot_stores += 1
-            return True
-        ctx = _loads(blob)
-        if ctx is None:
-            return False
-        self.put_memory(key, ctx)
+            self.put_memory(key, ctx)
         with self._lock:
             self.stores += 1
         return True
@@ -935,7 +757,7 @@ class CompileCache:
         max_bytes: int | None = None,
         max_age_days: float | None = None,
     ) -> "SweepStats":
-        """Evict local-backend entries by age, then by size budget.
+        """Evict backend entries by age, then by size budget.
 
         ``.repro-cache/`` otherwise grows without bound: every distinct
         (design, pipeline, seed, library) fingerprint adds a pickle
@@ -944,6 +766,7 @@ class CompileCache:
         write time, so age means "time since this result was
         computed"), then, if the survivors still exceed ``max_bytes``,
         drops the oldest survivors first until the budget holds.
+        Resume points are entries and are swept with them.
         Concurrently-deleted files are skipped, so sweeping a live
         shared cache is safe; the memory layer is left intact (it is
         bounded by ``max_memory_entries`` already).
@@ -976,10 +799,11 @@ class CompileCache:
             raise ValueError(
                 f"max_age_days must be >= 0, got {max_age_days}"
             )
-        sweeper = getattr(self.backend, "sweep", None)
-        if sweeper is None:
+        if self.backend is None:
             return SweepStats()
-        return sweeper(max_bytes=max_bytes, max_age_days=max_age_days)
+        return self.backend.sweep(
+            max_bytes=max_bytes, max_age_days=max_age_days
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         where = "memory" if self.backend is None else repr(self.backend.stats())
@@ -997,47 +821,22 @@ def _loads(blob: bytes) -> "FlowContext | None":
         # A truncated or stale entry is a miss, not an error.
         return None
     if not isinstance(loaded, FlowContext):
-        # A foreign blob under an entry key (e.g. a snapshot envelope
-        # uploaded to the wrong endpoint) is a miss, never a context.
-        return None
-    return loaded
-
-
-def _loads_snapshot(blob: bytes) -> "StageSnapshot | None":
-    try:
-        loaded = pickle.loads(blob)
-    except UNPICKLE_ERRORS:
-        return None
-    if (
-        not isinstance(loaded, StageSnapshot)
-        or loaded.version != SNAPSHOT_VERSION
-        or not isinstance(loaded.ctx, FlowContext)
-    ):
-        # Wrong envelope, skewed version, bogus payload: all misses.
+        # A foreign blob under an entry key is a miss, never a context.
         return None
     return loaded
 
 
 @dataclass(frozen=True)
 class SweepStats:
-    """What one :meth:`CompileCache.sweep` did.  ``scanned``,
-    ``removed``, and the byte totals cover completed entries *and*
-    stage snapshots; the ``*_snapshots`` fields break out the snapshot
-    share of the first two."""
+    """What one :meth:`CompileCache.sweep` did."""
 
     scanned: int = 0
     removed: int = 0
     bytes_before: int = 0
     bytes_after: int = 0
-    scanned_snapshots: int = 0
-    removed_snapshots: int = 0
 
     def __str__(self) -> str:
         return (
-            f"swept "
-            f"{self.removed - self.removed_snapshots}"
-            f"/{self.scanned - self.scanned_snapshots} entries "
-            f"({self.removed_snapshots}/{self.scanned_snapshots} "
-            f"snapshots), "
+            f"swept {self.removed}/{self.scanned} entries, "
             f"{self.bytes_before} -> {self.bytes_after} bytes"
         )

@@ -314,7 +314,7 @@ class FlowContext:
 
 def context_stage(ctx: FlowContext) -> str:
     """The deepest representation ``ctx`` currently holds -- how the
-    snapshot policy detects stage boundaries (a pass whose execution
+    resume-point rule detects stage boundaries (a pass whose execution
     moved the context to a new representation)."""
     if ctx.netlist is not None:
         return "netlist"

@@ -33,6 +33,10 @@ from repro.flow.core import (
     parse_spec_value,
 )
 
+#: A resumable compile stores a resume point after any pass at least
+#: this slow (seconds): work worth not redoing.
+SNAPSHOT_MIN_PASS_S = 0.05
+
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _TIMES_RE = re.compile(r"\[(\d+)\]")
 
@@ -288,7 +292,6 @@ class PassManager:
         seed: int = 2011,
         facts=None,
         cache=None,
-        snapshots=None,
     ) -> FlowContext:
         """Convenience: build a fresh context and run the pipeline.
 
@@ -310,16 +313,14 @@ class PassManager:
         contexts as read-only -- in-memory hits share one object.
 
         On a full-key miss the compile is *incrementally resumable*:
-        the longest cached stage snapshot of a pipeline prefix (see
+        the longest cached pipeline prefix (see
         :func:`~repro.flow.cache.fingerprint_prefixes`) is restored
         and only the remaining passes execute, with the resume point
-        recorded in ``ctx.meta`` (``resumed_at``/``passes_skipped``).
-        ``snapshots`` tunes the
-        :class:`~repro.flow.cache.SnapshotPolicy`: ``None`` reads the
-        environment (``REPRO_SNAPSHOTS=0`` disables), ``True``/
-        ``False`` toggle the default policy, or pass a policy.  A
-        resumed result is byte-identical to a from-scratch run
-        (canonical hashes and pass records modulo wall times).
+        recorded in ``ctx.meta`` (``resumed_at``/``passes_skipped``);
+        the run stores its own resume points by the rule of
+        :func:`should_snapshot`.  A resumed result is byte-identical
+        to a from-scratch run (canonical hashes and pass records
+        modulo wall times).
 
         The spec typechecker (:mod:`repro.check.spec`) runs first:
         a pipeline that is statically wrong for these inputs (stage
@@ -348,17 +349,12 @@ class PassManager:
                 "pipeline spec check failed: "
                 + "; ".join(str(problem) for problem in problems)
             )
-        policy = None
         fingerprint = None
         prefix_fps: list[str] = []
         if cache is not None:
-            from repro.flow.cache import (
-                flow_fingerprint,
-                resolve_snapshot_policy,
-            )
+            from repro.flow.cache import flow_fingerprint
 
-            policy = resolve_snapshot_policy(snapshots)
-            if policy.enabled and len(self.passes) > 1:
+            if len(self.passes) > 1:
                 prefix_fps = self.prefix_fingerprints(
                     ctrl=ctrl,
                     module=module,
@@ -406,7 +402,6 @@ class PassManager:
             start=start,
             cache=cache,
             prefix_fingerprints=prefix_fps,
-            policy=policy,
         )
         if cache is not None:
             cache.put(fingerprint, ctx)
@@ -439,22 +434,21 @@ def prepare_resume(
     cache=None,
     prefix_fingerprints: Sequence[str] = (),
 ) -> tuple[FlowContext, int]:
-    """The context a miss starts from: the deepest restorable stage
-    snapshot, or a fresh context.
+    """The context a miss starts from: the deepest restorable pipeline
+    prefix, or a fresh context.
 
-    Probes ``cache`` for resume points of the pipeline's prefixes,
-    deepest first.  Two kinds qualify at each depth: a stage snapshot
-    of the prefix, and -- because prefix fingerprints are
-    digest-identical to a shorter pipeline's full fingerprint -- the
-    *completed entry* of a compile whose whole pipeline was this
-    prefix (restored as a fresh copy via
-    :meth:`~repro.flow.cache.CompileCache.get_prefix_entry`; the
-    shared read-only hit object must never be mutated by a resume).
-    A restored context gets the resume provenance written into
-    ``ctx.meta``: ``resumed_at`` (the name of the last skipped pass),
-    ``passes_skipped`` (top-level count), and ``resumed_records``
-    (how many pass records came from the resume point rather than
-    this run -- what lets pass-execution accounting subtract them).
+    Probes ``cache`` once per prefix depth, deepest first, through
+    :meth:`~repro.flow.cache.CompileCache.get_prefix_entry` (a fresh
+    copy: the shared read-only hit object must never be mutated by a
+    resume).  Whatever is stored under a prefix fingerprint qualifies
+    -- a resume point another run stored mid-pipeline, or the
+    completed entry of a compile whose whole pipeline was that prefix;
+    the two are the same key.  A restored context gets the resume
+    provenance written into ``ctx.meta``: ``resumed_at`` (the name of
+    the last skipped pass), ``passes_skipped`` (top-level count), and
+    ``resumed_records`` (how many pass records came from the resume
+    point rather than this run -- what lets pass-execution accounting
+    subtract them).
 
     Returns:
         ``(ctx, start)`` -- run the pipeline from top-level pass index
@@ -463,11 +457,7 @@ def prepare_resume(
     fps = list(prefix_fingerprints)
     if cache is not None and len(fps) == len(pipeline.passes) > 1:
         for done in range(len(pipeline.passes), 0, -1):
-            restored = cache.get_snapshot(fps[done - 1])
-            if restored is None and done < len(pipeline.passes):
-                # The caller already ruled out a full-key entry hit,
-                # so only proper prefixes are probed as entries.
-                restored = cache.get_prefix_entry(fps[done - 1])
+            restored = cache.get_prefix_entry(fps[done - 1])
             if restored is None:
                 continue
             restored.meta.update(
@@ -491,6 +481,17 @@ def prepare_resume(
     )
 
 
+def should_snapshot(
+    *, wall_time_s: float, stage_changed: bool, forced: bool = False
+) -> bool:
+    """Whether a finished pass's boundary is worth a resume point:
+    a boundary the scheduler forces (the prefix-trie planner marks
+    prefixes several jobs share), a *stage* boundary (the
+    representation changed -- elaboration, mapping), or a pass slower
+    than :data:`SNAPSHOT_MIN_PASS_S`."""
+    return forced or stage_changed or wall_time_s >= SNAPSHOT_MIN_PASS_S
+
+
 def run_resumable(
     pipeline: PassManager,
     ctx: FlowContext,
@@ -498,29 +499,24 @@ def run_resumable(
     start: int = 0,
     cache=None,
     prefix_fingerprints: Sequence[str] = (),
-    policy=None,
     force_snapshot_after: frozenset[int] | set[int] = frozenset(),
 ) -> FlowContext:
-    """Execute ``pipeline`` on ``ctx`` from pass ``start``, persisting
-    stage snapshots where the policy says a boundary is worth keeping.
+    """Execute ``pipeline`` on ``ctx`` from pass ``start``, storing a
+    resume point under the prefix fingerprint of every boundary
+    :func:`should_snapshot` accepts.
 
     The final pass never snapshots -- the completed cache entry covers
     the full pipeline.  ``force_snapshot_after`` holds top-level pass
     indices whose boundary must snapshot regardless of wall time or
-    stage (the prefix-trie planner marks prefixes other jobs in the
-    batch share).
+    stage.
 
     Failures propagate exactly as :meth:`PassManager.run`'s would --
-    no snapshot is taken at or after a failing pass.
+    no resume point is stored at or after a failing pass.
     """
     ensure_recursion_headroom()
-    snapshotting = (
-        cache is not None
-        and policy is not None
-        and policy.enabled
-        and len(prefix_fingerprints) == len(pipeline.passes)
+    snapshotting = cache is not None and len(prefix_fingerprints) == len(
+        pipeline.passes
     )
-    specs = pipeline.prefix_specs() if snapshotting else []
     last = len(pipeline.passes) - 1
     stage = context_stage(ctx)
     for index in range(start, len(pipeline.passes)):
@@ -528,15 +524,10 @@ def run_resumable(
         if not snapshotting or index >= last:
             continue
         previous, stage = stage, context_stage(ctx)
-        if policy.should_snapshot(
+        if should_snapshot(
             wall_time_s=record.wall_time_s,
             stage_changed=stage != previous,
             forced=index in force_snapshot_after,
         ):
-            cache.put_snapshot(
-                prefix_fingerprints[index],
-                ctx,
-                prefix_spec=specs[index],
-                passes_done=index + 1,
-            )
+            cache.put_snapshot(prefix_fingerprints[index], ctx)
     return ctx

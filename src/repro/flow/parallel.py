@@ -28,12 +28,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Hashable, Iterable, Sequence
 
-from repro.flow.cache import (
-    CompileCache,
-    SnapshotPolicy,
-    flow_fingerprint,
-    resolve_snapshot_policy,
-)
+from repro.flow.cache import CompileCache, flow_fingerprint
 from repro.flow.core import (
     FlowContext,
     FlowError,
@@ -110,24 +105,13 @@ def _resolve_pipeline(pipeline: "PassManager | str") -> PassManager:
     return pipeline
 
 
-def _job_fingerprint(job: CompileJob, pipeline: PassManager) -> str:
-    return flow_fingerprint(
-        pipeline.spec(),
-        ctrl=job.ctrl,
-        module=job.module,
-        aig=job.aig,
-        annotations=job.annotations,
-        bindings=job.bindings,
-        library=job.library,
-        seed=job.seed,
-        facts=job.facts,
-    )
-
-
-def _job_prefix_fingerprints(
+def _job_fingerprints(
     job: CompileJob, pipeline: PassManager
-) -> list[str]:
-    return pipeline.prefix_fingerprints(
+) -> "tuple[str, list[str]]":
+    """``(fingerprint, prefix_fps)`` of one job: a multi-pass pipeline
+    folds every prefix (the last is the full key); a single pass has
+    nothing to resume from and needs only its key."""
+    inputs = dict(
         ctrl=job.ctrl,
         module=job.module,
         aig=job.aig,
@@ -137,6 +121,10 @@ def _job_prefix_fingerprints(
         seed=job.seed,
         facts=job.facts,
     )
+    if len(pipeline.passes) > 1:
+        prefix_fps = pipeline.prefix_fingerprints(**inputs)
+        return prefix_fps[-1], prefix_fps
+    return flow_fingerprint(pipeline.spec(), **inputs), []
 
 
 def _execute_job(
@@ -144,7 +132,6 @@ def _execute_job(
     cache: CompileCache | None,
     fingerprint: str | None = None,
     *,
-    snapshots: "SnapshotPolicy | bool | None" = None,
     force_snapshot_after: frozenset = frozenset(),
 ) -> FlowContext:
     """Run one job (cache-aware and resumable), wrapping failures with
@@ -152,23 +139,17 @@ def _execute_job(
     ``fingerprint`` passes it in to skip the redundant second lookup
     (prefix resume points are still probed).  ``force_snapshot_after``
     holds top-level pass indices the prefix-trie planner marked as
-    shared boundaries -- they snapshot regardless of policy
-    thresholds."""
+    shared boundaries -- they snapshot regardless of wall time or
+    stage."""
     pipeline = _resolve_pipeline(job.pipeline)
-    policy = resolve_snapshot_policy(snapshots)
     prefix_fps: list[str] = []
-    if cache is not None:
-        if policy.enabled and len(pipeline.passes) > 1:
-            prefix_fps = _job_prefix_fingerprints(job, pipeline)
-        if fingerprint is None:
-            fingerprint = (
-                prefix_fps[-1]
-                if prefix_fps
-                else _job_fingerprint(job, pipeline)
-            )
-            hit = cache.get(fingerprint)
-            if hit is not None:
-                return hit
+    if cache is not None and fingerprint is None:
+        fingerprint, prefix_fps = _job_fingerprints(job, pipeline)
+        hit = cache.get(fingerprint)
+        if hit is not None:
+            return hit
+    elif cache is not None and len(pipeline.passes) > 1:
+        _, prefix_fps = _job_fingerprints(job, pipeline)
     ctx, start = prepare_resume(
         pipeline,
         ctrl=job.ctrl,
@@ -189,7 +170,6 @@ def _execute_job(
             start=start,
             cache=cache,
             prefix_fingerprints=prefix_fps,
-            policy=policy,
             force_snapshot_after=force_snapshot_after,
         )
     except CompileJobError:
@@ -206,17 +186,13 @@ def _execute_job(
 def _worker_run(
     job: CompileJob,
     cache_path: str | None,
-    snapshots: "SnapshotPolicy | None" = None,
     force_snapshot_after: frozenset = frozenset(),
 ) -> FlowContext:
     """Entry point executed inside a pool worker."""
     ensure_recursion_headroom()
     cache = None if cache_path is None else CompileCache(path=cache_path)
     return _execute_job(
-        job,
-        cache,
-        snapshots=snapshots,
-        force_snapshot_after=force_snapshot_after,
+        job, cache, force_snapshot_after=force_snapshot_after
     )
 
 
@@ -302,7 +278,6 @@ def compile_many(
     workers: int = 1,
     cache: CompileCache | None = None,
     server: "str | None" = None,
-    snapshots: "SnapshotPolicy | bool | None" = None,
 ) -> "dict[Hashable, FlowContext]":
     """Compile independent jobs, optionally across worker processes
     or through a remote compile server.
@@ -319,18 +294,16 @@ def compile_many(
     cache still dedups across one ``compile_many`` call, but workers
     cannot share it.
 
-    Misses are scheduled by a *prefix-trie planner* (when the
-    snapshot policy is enabled): jobs whose pipelines share a prefix
-    on identical inputs are grouped so that exactly one leader
-    executes each shared prefix, persisting a stage snapshot at the
-    shared boundary, before the followers fan out and resume from it
-    (serially, submission order achieves this; across workers, jobs
-    are batched into waves that never race on an uncovered shared
-    prefix -- requires a path-backed cache, since followers read the
-    leader's snapshots through the shared disk layer).  ``snapshots``
-    tunes the :class:`~repro.flow.cache.SnapshotPolicy` exactly as in
-    :meth:`PassManager.compile`; disabling it restores the flat
-    all-at-once schedule.
+    With a cache, misses are scheduled by a *prefix-trie planner*:
+    jobs whose pipelines share a prefix on identical inputs are
+    grouped so that exactly one leader executes each shared prefix,
+    storing a resume point at the shared boundary, before the
+    followers fan out and resume from it (serially, submission order
+    achieves this; across workers, jobs are batched into waves that
+    never race on an uncovered shared prefix -- requires a
+    path-backed cache, since followers read the leader's resume
+    points through the shared disk layer).  Without a cache every job
+    runs its full pipeline in one flat schedule.
 
     With ``server``, cache misses are submitted to a
     :mod:`repro.serve` compile server as one batch instead of
@@ -374,21 +347,12 @@ def compile_many(
         seen_keys.add(job.key)
 
     ensure_recursion_headroom()
-    policy = resolve_snapshot_policy(snapshots)
     results: dict[Hashable, FlowContext] = {}
     pending: list[tuple[int, CompileJob, str | None, list[str]]] = []
     for index, job in enumerate(jobs):
         if cache is not None:
-            pipeline = _resolve_pipeline(job.pipeline)
-            prefix_fps = (
-                _job_prefix_fingerprints(job, pipeline)
-                if policy.enabled and len(pipeline.passes) > 1
-                else []
-            )
-            fingerprint = (
-                prefix_fps[-1]
-                if prefix_fps
-                else _job_fingerprint(job, pipeline)
+            fingerprint, prefix_fps = _job_fingerprints(
+                job, _resolve_pipeline(job.pipeline)
             )
             hit = cache.get(fingerprint)
             if hit is not None:
@@ -401,7 +365,7 @@ def compile_many(
     # The prefix-trie plan of the misses: which boundaries must
     # snapshot, and (for the pool path) which jobs may run
     # concurrently without racing on a shared prefix.
-    if cache is not None and policy.enabled:
+    if cache is not None:
         waves, forced = _plan_waves([fps for _, _, _, fps in pending])
     else:
         waves = [list(range(len(pending)))]
@@ -425,13 +389,12 @@ def compile_many(
     elif workers <= 1 or len(pending) <= 1:
         # Submission order already executes each shared prefix exactly
         # once: the first job carrying it leads (snapshotting the
-        # forced boundary), every later job resumes from the snapshot.
+        # forced boundary), every later job resumes from its point.
         for position, (_, job, fingerprint, _) in enumerate(pending):
             results[job.key] = _execute_job(
                 job,
                 cache,
                 fingerprint,
-                snapshots=policy,
                 force_snapshot_after=forced.get(position, frozenset()),
             )
     else:
@@ -439,7 +402,7 @@ def compile_many(
             cache.path
         )
         if cache_path is None:
-            # Workers cannot see each other's snapshots without a
+            # Workers cannot see each other's resume points without a
             # shared disk layer, so wave barriers buy nothing.
             waves = [list(range(len(pending)))]
             forced = {}
@@ -456,7 +419,6 @@ def compile_many(
                          _worker_run,
                          pending[position][1],
                          cache_path,
-                         policy,
                          forced.get(position, frozenset()),
                      ))
                     for position in wave

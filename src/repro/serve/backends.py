@@ -5,10 +5,11 @@ entry bytes; these implementations make a
 :class:`~repro.flow.cache.CompileCache` *shared infrastructure*:
 
 * :class:`RemoteBackend` speaks the compile server's
-  ``GET/PUT /cache/<fingerprint>`` endpoints.  Given several server
-  URLs it shards deterministically by fingerprint prefix, so a fleet
-  of cache servers splits the keyspace without coordination (every
-  client computes the same shard for the same key).
+  ``GET/PUT /cache/<fingerprint>`` endpoints (completed results and
+  resume points alike).  Given several server URLs it shards
+  deterministically by fingerprint prefix, so a fleet of cache
+  servers splits the keyspace without coordination (every client
+  computes the same shard for the same key).
 * :class:`TieredBackend` layers two backends read-through /
   write-through: loads try the near layer first and promote far hits
   into it; stores write both.  ``TieredBackend(LocalDirBackend(...),
@@ -29,7 +30,7 @@ import threading
 import urllib.error
 import urllib.request
 
-from repro.flow.cache import ENTRY_KIND, SNAPSHOT_KIND, CacheBackend
+from repro.flow.cache import CacheBackend
 
 #: Cache entries are a few hundred KB of pickle; a hung shared cache
 #: must not stall a compile longer than the compile itself would take.
@@ -70,19 +71,15 @@ class RemoteBackend(CacheBackend):
         """The server URL entry ``key`` shards to."""
         return self.urls[int(key[:8], 16) % len(self.urls)]
 
-    def _entry_url(self, key: str, kind: str = ENTRY_KIND) -> str:
-        # Stage snapshots live under /cache/snap/; a pre-snapshot
-        # server 404s the path, which reads as a best-effort miss.
-        if kind == SNAPSHOT_KIND:
-            return f"{self.shard(key)}/cache/snap/{key}"
+    def _entry_url(self, key: str) -> str:
         return f"{self.shard(key)}/cache/{key}"
 
-    def load(self, key: str, kind: str = ENTRY_KIND) -> bytes | None:
+    def load(self, key: str) -> bytes | None:
         with self._lock:
             self.loads += 1
         try:
             with urllib.request.urlopen(
-                self._entry_url(key, kind), timeout=self.timeout
+                self._entry_url(key), timeout=self.timeout
             ) as response:
                 blob = response.read()
         except urllib.error.HTTPError as exc:
@@ -99,11 +96,11 @@ class RemoteBackend(CacheBackend):
             self.load_hits += 1
         return blob
 
-    def store(self, key: str, blob: bytes, kind: str = ENTRY_KIND) -> None:
+    def store(self, key: str, blob: bytes) -> None:
         with self._lock:
             self.store_calls += 1
         request = urllib.request.Request(
-            self._entry_url(key, kind),
+            self._entry_url(key),
             data=blob,
             headers={"Content-Type": "application/octet-stream"},
             method="PUT",
@@ -150,28 +147,28 @@ class TieredBackend(CacheBackend):
         self.far_hits = 0  # guarded-by: _lock
         self.promotions = 0  # guarded-by: _lock
 
-    def load(self, key: str, kind: str = ENTRY_KIND) -> bytes | None:
-        blob = self.near.load(key, kind=kind)
+    def load(self, key: str) -> bytes | None:
+        blob = self.near.load(key)
         if blob is not None:
             with self._lock:
                 self.near_hits += 1
             return blob
-        blob = self.far.load(key, kind=kind)
+        blob = self.far.load(key)
         if blob is None:
             return None
         with self._lock:
             self.far_hits += 1
         try:
-            self.near.store(key, blob, kind=kind)
+            self.near.store(key, blob)
             with self._lock:
                 self.promotions += 1
         except OSError:
             pass  # an unwritable near layer only costs repeat far reads
         return blob
 
-    def store(self, key: str, blob: bytes, kind: str = ENTRY_KIND) -> None:
-        self.near.store(key, blob, kind=kind)
-        self.far.store(key, blob, kind=kind)
+    def store(self, key: str, blob: bytes) -> None:
+        self.near.store(key, blob)
+        self.far.store(key, blob)
 
     def stats(self) -> dict:
         with self._lock:
@@ -187,12 +184,9 @@ class TieredBackend(CacheBackend):
             "far": self.far.stats(),
         }
 
-    # GC passes through to the near layer when it supports one, so
-    # ``track gc`` keeps working on a tiered developer cache.
+    # GC passes through to the near layer, so ``track gc`` keeps
+    # working on a tiered developer cache.
     def sweep(self, max_bytes=None, max_age_days=None):
-        sweeper = getattr(self.near, "sweep", None)
-        if sweeper is None:
-            from repro.flow.cache import SweepStats
-
-            return SweepStats()
-        return sweeper(max_bytes=max_bytes, max_age_days=max_age_days)
+        return self.near.sweep(
+            max_bytes=max_bytes, max_age_days=max_age_days
+        )

@@ -16,10 +16,9 @@ Endpoints (stdlib :mod:`http.server`, one thread per connection,
 compiles bounded by the pool)::
 
     POST /compile            JSON batch in, NDJSON results out
-    GET  /cache/<fp>         raw cache entry bytes (remote backends)
+    GET  /cache/<fp>         raw cache entry bytes (remote backends;
+                             resume points are entries too)
     PUT  /cache/<fp>         write-through store of one entry
-    GET  /cache/snap/<key>   raw stage-snapshot bytes (prefix resume)
-    PUT  /cache/snap/<key>   write-through store of one snapshot
     GET  /stats              JSON counters (cache, single-flight, pool)
     GET  /healthz            liveness probe
 
@@ -42,18 +41,12 @@ import time
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from repro.flow.cache import (
-    ENTRY_KIND,
-    SNAPSHOT_KIND,
-    CompileCache,
-    resolve_snapshot_policy,
-)
+from repro.flow.cache import CompileCache
 from repro.flow.parallel import (
     CompileJob,
     CompileJobError,
     _execute_job,
-    _job_fingerprint,
-    _job_prefix_fingerprints,
+    _job_fingerprints,
     _resolve_pipeline,
 )
 from repro.check.spec import check_job
@@ -87,13 +80,10 @@ class CompileServer:
         port: bind port; ``0`` picks an ephemeral free port, read the
             result back from :attr:`url`.
         verbose: log one line per request to stdout.
-        snapshots: the stage-snapshot policy
-            (:func:`~repro.flow.cache.resolve_snapshot_policy` --
-            ``None`` reads the environment, ``False`` disables).  With
-            snapshots on, concurrent jobs sharing a pipeline prefix
-            dedup through prefix flight keys: one leader compiles the
-            prefix, the others resume from its snapshots
-            (``prefix_resumes`` in ``/stats``).
+
+    Concurrent jobs sharing a pipeline prefix dedup through prefix
+    flight keys: one leader compiles the prefix, the others resume
+    from its resume points (``prefix_resumes`` in ``/stats``).
     """
 
     def __init__(
@@ -103,14 +93,12 @@ class CompileServer:
         host: str = "127.0.0.1",
         port: int = 0,
         verbose: bool = False,
-        snapshots=None,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.cache = cache if cache is not None else CompileCache()
         self.workers = workers
         self.verbose = verbose
-        self.snapshot_policy = resolve_snapshot_policy(snapshots)
         self.pool = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="compile"
         )
@@ -221,14 +209,9 @@ class CompileServer:
             )
 
         try:
-            pipeline = _resolve_pipeline(job.pipeline)
-            policy = self.snapshot_policy
-            if policy.enabled and len(pipeline.passes) > 1:
-                prefix_fps = _job_prefix_fingerprints(job, pipeline)
-                fingerprint = prefix_fps[-1]
-            else:
-                prefix_fps = []
-                fingerprint = _job_fingerprint(job, pipeline)
+            fingerprint, prefix_fps = _job_fingerprints(
+                job, _resolve_pipeline(job.pipeline)
+            )
         except Exception as exc:
             self._count("job_errors")
             return done(
@@ -251,12 +234,11 @@ class CompileServer:
             self.cache.inflight_begin()
             try:
                 # Sharing the server cache makes the run resumable:
-                # the deepest stage snapshot (a prefix leader's, or a
+                # the deepest resume point (a prefix leader's, or a
                 # previous run's) is restored, and this run's own
-                # snapshots and completed entry publish through it.
+                # resume points and completed entry publish through it.
                 fresh = _execute_job(
-                    job, cache=self.cache, fingerprint=fingerprint,
-                    snapshots=policy,
+                    job, cache=self.cache, fingerprint=fingerprint
                 )
             finally:
                 self.cache.inflight_end()
@@ -315,8 +297,8 @@ class _Handler(BaseHTTPRequestHandler):
         length = int(self.headers.get("Content-Length", 0) or 0)
         return self.rfile.read(length)
 
-    def _cache_key(self, prefix: str) -> str | None:
-        key = self.path[len(prefix):]
+    def _cache_key(self) -> str | None:
+        key = self.path[len("/cache/"):]
         if not _FINGERPRINT_RE.match(key):
             self._bad_request(f"{key!r} is not a fingerprint", status=404)
             return None
@@ -330,14 +312,10 @@ class _Handler(BaseHTTPRequestHandler):
         elif self.path == "/stats":
             self._send_json(self.app.stats())
         elif self.path.startswith("/cache/"):
-            # The snapshot namespace nests under /cache/, so it must
-            # route first; old servers 404 it, which remote backends
-            # read as a best-effort miss.
-            prefix, kind = self._cache_route()
-            key = self._cache_key(prefix)
+            key = self._cache_key()
             if key is None:
                 return
-            blob = self.app.cache.export_blob(key, kind=kind)
+            blob = self.app.cache.export_blob(key)
             if blob is None:
                 self._send_json({"error": "miss"}, status=404)
                 return
@@ -349,22 +327,16 @@ class _Handler(BaseHTTPRequestHandler):
         else:
             self._bad_request(f"no such endpoint: {self.path}", status=404)
 
-    def _cache_route(self) -> "tuple[str, str]":
-        if self.path.startswith("/cache/snap/"):
-            return "/cache/snap/", SNAPSHOT_KIND
-        return "/cache/", ENTRY_KIND
-
     def do_PUT(self) -> None:  # noqa: N802 - stdlib casing
         self.app._count("requests")
         if not self.path.startswith("/cache/"):
             self._bad_request(f"no such endpoint: {self.path}", status=404)
             return
-        prefix, kind = self._cache_route()
-        key = self._cache_key(prefix)
+        key = self._cache_key()
         if key is None:
             return
         blob = self._read_body()
-        if not blob or not self.app.cache.import_blob(key, blob, kind=kind):
+        if not blob or not self.app.cache.import_blob(key, blob):
             self._bad_request("rejected cache entry")
             return
         self._send_json({"stored": key})

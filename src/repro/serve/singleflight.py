@@ -122,7 +122,7 @@ class SingleFlight:
         fingerprints): a leader registers them alongside its own key,
         and a caller whose key misses but whose prefix matches an
         executing leader waits for that leader to finish **once**
-        before leading itself -- by then the leader's stage snapshots
+        before leading itself -- by then the leader's resume points
         are in the cache, so the resumed compile skips the shared
         prefix instead of racing the leader through it.  Waiters never
         hold a flight while waiting, so prefix waits cannot deadlock.
@@ -153,7 +153,7 @@ class SingleFlight:
                 elif not waited:
                     # Deepest shared prefix first: the further along
                     # the owner is, the more of our pipeline its
-                    # snapshots cover.
+                    # resume points cover.
                     for prefix in reversed(prefix_keys):
                         owner = self._prefixes.get(prefix)
                         if owner is not None:

@@ -16,7 +16,7 @@ strands another.
 
 from __future__ import annotations
 
-from repro.aig.graph import AIG, CONST0, CONST1, lit_node
+from repro.aig.graph import AIG, CONST0, CONST1
 
 
 def seq_sweep(aig: AIG) -> tuple[AIG, int]:
@@ -38,7 +38,9 @@ def _sweep_once(aig: AIG) -> tuple[AIG, int]:
         if latch.next_lit == out_lit or latch.next_lit == reset_const:
             stuck[latch.node] = reset_const
 
-    live = _live_latches(aig, stuck)
+    # Stuck latches never count as live users: their next-state cone
+    # is about to disappear with them.
+    live = aig.live_nodes(stuck)
     removable = [
         latch for latch in aig.latches
         if latch.node in stuck or latch.node not in live
@@ -72,35 +74,3 @@ def _sweep_once(aig: AIG) -> tuple[AIG, int]:
         new.set_latch_next(new_latch.node << 1, translate(old_latch.next_lit))
     compacted, _ = new.cleanup()
     return compacted, len(removable)
-
-
-def _live_latches(aig: AIG, stuck: dict[int, int]) -> set[int]:
-    """Latch nodes observable from the POs (through latch-next edges).
-
-    One worklist walk from the POs visits every node at most once;
-    reaching a latch pushes its next-state cone.  Stuck latches never
-    count as live users: their next-state cone is about to disappear
-    with them.
-    """
-    next_lits = {
-        latch.node: latch.next_lit
-        for latch in aig.latches
-        if latch.node not in stuck
-    }
-    live: set[int] = set()
-    seen: set[int] = set()
-    stack = [lit_node(lit) for _, lit in aig.pos]
-    while stack:
-        node = stack.pop()
-        if node in seen or node == 0:
-            continue
-        seen.add(node)
-        if aig.is_and(node):
-            f0, f1 = aig.fanins(node)
-            stack.append(lit_node(f0))
-            stack.append(lit_node(f1))
-        elif aig.is_latch_output(node):
-            live.add(node)
-            if node in next_lits:
-                stack.append(lit_node(next_lits[node]))
-    return live

@@ -251,10 +251,9 @@ def test_corrupt_disk_entry_reads_as_miss(tmp_path):
     cache = CompileCache(tmp_path / "cache")
     pipeline = full_pipeline()
     pipeline.compile(build_rom_module(), cache=cache)
-    # Exactly the completed-entry namespace: stage snapshots live
-    # under snap/ (three path levels) and are not this test's target.
-    [entry] = list((tmp_path / "cache").glob("*/*.pkl"))
-    entry.write_bytes(b"not a pickle")
+    # The completed entry, not the resume points stored beside it.
+    fp = pipeline.prefix_fingerprints(module=build_rom_module())[-1]
+    cache.backend.entry_file(fp).write_bytes(b"not a pickle")
     fresh = CompileCache(tmp_path / "cache")
     ctx = pipeline.compile(build_rom_module(), cache=fresh)
     assert fresh.misses == 1 and fresh.disk_hits == 0
@@ -345,7 +344,10 @@ def test_stats_dict_shape_and_counters(tmp_path):
     assert stats["hits"] == 1 and stats["stores"] == 1
     assert stats["inflight"] == 0 and stats["memory_entries"] == 1
     assert stats["backend"]["kind"] == "local-dir"
-    assert stats["backend"]["entries"] == 1
+    # The completed entry plus the resume points after the two stage
+    # changes (elaborate, map), all in one listing.
+    assert stats["snapshot_stores"] == 2
+    assert stats["backend"]["entries"] == 3
     import json
 
     json.dumps(stats)  # the /stats endpoint serves this verbatim
@@ -380,7 +382,7 @@ def test_export_import_blob_round_trip(tmp_path):
     pipeline = full_pipeline()
     source = CompileCache(tmp_path / "source")
     ctx = pipeline.compile(build_rom_module(), cache=source)
-    [key] = [p.stem for p in (tmp_path / "source").glob("*/*.pkl")]
+    key = pipeline.prefix_fingerprints(module=build_rom_module())[-1]
     blob = source.export_blob(key)
     assert blob is not None
 
@@ -399,23 +401,26 @@ def test_export_import_blob_round_trip(tmp_path):
 
 
 def test_cache_is_thread_safe_under_concurrent_traffic(tmp_path):
-    """Satellite regression: the memory LRU and counters are shared by
-    server handler threads; hammering one cache from many threads must
-    neither corrupt the LRU nor lose counter updates."""
+    """Satellite regression: the memory LRUs and counters are shared by
+    server handler threads; hammering one cache from many threads --
+    entries and resume points alike -- must neither corrupt an LRU nor
+    lose counter updates."""
     import threading
+
+    from repro.flow.cache import RESUME_MEMORY_ENTRIES
 
     cache = CompileCache(tmp_path / "cache", max_memory_entries=4)
     pipeline = full_pipeline()
+    scales = (3, 5, 7, 11, 13)
     contexts = {
-        scale: pipeline.compile(build_rom_module(scale))
-        for scale in (3, 5, 7, 11, 13)
+        scale: pipeline.compile(build_rom_module(scale)) for scale in scales
     }
     errors = []
 
     def worker(offset):
         try:
             for round_ in range(20):
-                scale = (3, 5, 7, 11, 13)[(offset + round_) % 5]
+                scale = scales[(offset + round_) % 5]
                 key = flow_fingerprint(
                     full_pipeline().spec(), module=build_rom_module(scale)
                 )
@@ -428,21 +433,34 @@ def test_cache_is_thread_safe_under_concurrent_traffic(tmp_path):
                         cache.inflight_end()
                 else:
                     assert hit.area.total == contexts[scale].area.total
+                point_key = f"{offset:02x}{round_:062x}"
+                cache.put_snapshot(point_key, contexts[scale])
+                point = cache.get_prefix_entry(point_key)
+                assert point is not contexts[scale]
+                assert point.area.total == contexts[scale].area.total
         except Exception as exc:  # surfaced below; threads swallow
             errors.append(exc)
 
     threads = [
         threading.Thread(target=worker, args=(i,)) for i in range(8)
     ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
     assert not errors
     stats = cache.stats()
     assert stats["inflight"] == 0
     assert stats["hits"] + stats["misses"] == 8 * 20
+    assert stats["snapshot_stores"] == 8 * 20
     assert len(cache._memory) <= 4
+    assert len(cache._resume) <= RESUME_MEMORY_ENTRIES
 
 
 def test_anonymous_pass_has_no_spec_form():

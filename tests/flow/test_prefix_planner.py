@@ -6,7 +6,6 @@ from repro.flow import (
     CompileCache,
     CompileJob,
     PassManager,
-    SnapshotPolicy,
     compile_many,
 )
 from repro.flow.parallel import _plan_waves
@@ -48,7 +47,7 @@ def test_shared_prefix_elects_one_leader_per_wave():
     # Job 0 leads the shared prefix "a"; the others defer one wave,
     # then run together (the prefix is covered).
     assert waves == [[0], [1, 2]]
-    # Every sharer must snapshot the shared boundary (index 0).
+    # Every sharer must store a resume point at the shared boundary.
     assert forced[0] == forced[1] == forced[2] == frozenset({0})
 
 
@@ -110,11 +109,9 @@ def shared_prefix_jobs():
 
 
 def test_cold_batch_executes_each_shared_prefix_exactly_once(tmp_path):
-    baseline = compile_many(shared_prefix_jobs(), snapshots=False)
+    baseline = compile_many(shared_prefix_jobs())
     planned = compile_many(
-        shared_prefix_jobs(),
-        cache=CompileCache(tmp_path / "c"),
-        snapshots=SnapshotPolicy(),
+        shared_prefix_jobs(), cache=CompileCache(tmp_path / "c")
     )
     base_total = sum(executed(ctx) for ctx in baseline.values())
     plan_total = sum(executed(ctx) for ctx in planned.values())
@@ -139,13 +136,11 @@ def test_pool_matches_serial_with_prefix_scheduling(tmp_path):
         shared_prefix_jobs(),
         workers=1,
         cache=CompileCache(tmp_path / "serial"),
-        snapshots=SnapshotPolicy(),
     )
     pooled = compile_many(
         shared_prefix_jobs(),
         workers=2,
         cache=CompileCache(tmp_path / "pooled"),
-        snapshots=SnapshotPolicy(),
     )
     assert list(serial) == list(pooled)
     for key in serial:
@@ -160,12 +155,11 @@ def test_memory_only_pool_skips_wave_barriers_but_stays_correct():
     """Workers cannot share a memory-only cache, so the pool path must
     not serialize into waves for nothing -- and results must still be
     byte-identical to the unscheduled baseline."""
-    baseline = compile_many(shared_prefix_jobs(), snapshots=False)
+    baseline = compile_many(shared_prefix_jobs())
     pooled = compile_many(
         shared_prefix_jobs(),
         workers=2,
         cache=CompileCache(),  # no disk path
-        snapshots=SnapshotPolicy(),
     )
     for key in baseline:
         assert record_signature(pooled[key]) == record_signature(
@@ -175,12 +169,10 @@ def test_memory_only_pool_skips_wave_barriers_but_stays_correct():
         assert "resumed_at" not in pooled[key].meta
 
 
-def test_snapshots_off_reproduces_legacy_behaviour(tmp_path):
-    with_cache = compile_many(
-        shared_prefix_jobs(),
-        cache=CompileCache(tmp_path / "c"),
-        snapshots=False,
-    )
-    for ctx in with_cache.values():
+def test_snapshots_off_reproduces_legacy_behaviour():
+    """Without a cache (prefixgrid's baseline) every job runs its
+    full pipeline: no resume, no planner."""
+    uncached = compile_many(shared_prefix_jobs(), workers=2)
+    for ctx in uncached.values():
         assert "resumed_at" not in ctx.meta
         assert executed(ctx) == len(ctx.records)

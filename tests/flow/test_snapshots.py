@@ -1,21 +1,20 @@
-"""Stage snapshots: prefix fingerprints, resume, version skew, GC."""
+"""Resume points: prefix fingerprints, one namespace, resume, GC."""
 
 import pickle
-
-import pytest
 
 from repro.flow import (
     CompileCache,
     PassManager,
-    SnapshotPolicy,
-    StageSnapshot,
     fingerprint_prefixes,
     flow_fingerprint,
-    resolve_snapshot_policy,
-    snapshot_key,
 )
-from repro.flow.cache import SNAPSHOT_VERSION, _dumps
 from repro.flow.core import FlowContext
+from repro.flow.manager import (
+    SNAPSHOT_MIN_PASS_S,
+    prepare_resume,
+    run_resumable,
+    should_snapshot,
+)
 from repro.rtl.builder import ModuleBuilder
 
 
@@ -36,6 +35,39 @@ def record_signature(ctx):
          r.rejected, r.failed)
         for r in ctx.records
     ]
+
+
+def identity(ctx):
+    """What a resume point must share with a from-scratch compile:
+    the logic, the netlist, and the record structure."""
+    return (
+        ctx.aig.canonical_hash(),
+        None if ctx.netlist is None else (
+            repr(ctx.netlist.instances), repr(ctx.netlist.flops),
+            ctx.netlist.po_nets,
+        ),
+        record_signature(ctx),
+    )
+
+
+def compile_forcing_every_boundary(spec, module, cache):
+    """Run ``spec`` storing a resume point after every non-final pass
+    (what the prefix-trie planner forces on shared boundaries)."""
+    pipeline = PassManager.parse(spec)
+    fps = pipeline.prefix_fingerprints(module=module)
+    ctx, start = prepare_resume(
+        pipeline, module=module, cache=cache, prefix_fingerprints=fps
+    )
+    run_resumable(
+        pipeline,
+        ctx,
+        start=start,
+        cache=cache,
+        prefix_fingerprints=fps,
+        force_snapshot_after=frozenset(range(len(pipeline.passes))),
+    )
+    cache.put(fps[-1], ctx)
+    return ctx, fps
 
 
 # ---------------------------------------------------------------------
@@ -70,66 +102,47 @@ def test_short_pipeline_full_fingerprint_is_longer_ones_prefix():
         short.prefix_fingerprints(module=module)[-1]
         == longer.prefix_fingerprints(module=module)[1]
     )
-
-
-def test_snapshot_key_is_derived_and_distinct():
-    fp = flow_fingerprint("elaborate", module=build_rom_module())
-    key = snapshot_key(fp)
-    assert key != fp
-    assert len(key) == 64 and int(key, 16) >= 0  # a well-formed digest
-    assert snapshot_key(fp) == key  # deterministic
+    assert fingerprint_prefixes(
+        short.prefix_specs(), module=module
+    ) == short.prefix_fingerprints(module=module)
 
 
 # ---------------------------------------------------------------------
-# Snapshot policy resolution.
+# The fixed resume-point rule.
 # ---------------------------------------------------------------------
-
-def test_policy_resolution_and_env(monkeypatch):
-    assert resolve_snapshot_policy(None).enabled
-    assert resolve_snapshot_policy(True).enabled
-    assert not resolve_snapshot_policy(False).enabled
-    pinned = SnapshotPolicy(min_pass_seconds=1.5)
-    assert resolve_snapshot_policy(pinned) is pinned
-
-    monkeypatch.setenv("REPRO_SNAPSHOTS", "0")
-    assert not resolve_snapshot_policy(None).enabled
-    monkeypatch.setenv("REPRO_SNAPSHOTS", "off")
-    assert not resolve_snapshot_policy(None).enabled
-    # An explicit policy beats the environment.
-    assert resolve_snapshot_policy(True).enabled
-
-    monkeypatch.delenv("REPRO_SNAPSHOTS")
-    monkeypatch.setenv("REPRO_SNAPSHOT_MIN_S", "2.5")
-    assert resolve_snapshot_policy(None).min_pass_seconds == 2.5
-    monkeypatch.setenv("REPRO_SNAPSHOT_MIN_S", "not-a-float")
-    assert (
-        resolve_snapshot_policy(None).min_pass_seconds
-        == SnapshotPolicy().min_pass_seconds
-    )
-
 
 def test_should_snapshot_rules():
-    policy = SnapshotPolicy(min_pass_seconds=0.5)
-    assert policy.should_snapshot(wall_time_s=0.0, stage_changed=True)
-    assert policy.should_snapshot(wall_time_s=0.9, stage_changed=False)
-    assert not policy.should_snapshot(wall_time_s=0.1, stage_changed=False)
-    assert policy.should_snapshot(
+    assert should_snapshot(wall_time_s=0.0, stage_changed=True)
+    assert should_snapshot(
+        wall_time_s=SNAPSHOT_MIN_PASS_S, stage_changed=False
+    )
+    assert not should_snapshot(
+        wall_time_s=SNAPSHOT_MIN_PASS_S / 2, stage_changed=False
+    )
+    assert should_snapshot(
         wall_time_s=0.0, stage_changed=False, forced=True
     )
-    off = SnapshotPolicy(enabled=False)
-    assert not off.should_snapshot(
-        wall_time_s=9.0, stage_changed=True, forced=True
+
+
+def test_final_pass_never_snapshots(tmp_path):
+    """A one-pass pipeline has no boundary to resume from: its only
+    stored entry is the completed result."""
+    cache = CompileCache(tmp_path)
+    PassManager.parse("elaborate").compile(
+        module=build_rom_module(), cache=cache
     )
+    assert cache.snapshot_stores == 0
+    assert cache.stats()["backend"]["entries"] == 1
 
 
 # ---------------------------------------------------------------------
-# Snapshot storage round trips.
+# Resume-point storage round trips.
 # ---------------------------------------------------------------------
 
 def test_snapshot_roundtrip_returns_fresh_objects(tmp_path):
-    """Every get_snapshot must hand out an independent context --
+    """Every get_prefix_entry must hand out an independent context --
     resume mutates the restored object, so sharing would corrupt the
-    stored snapshot for the next consumer."""
+    stored point for the next consumer."""
     cache = CompileCache(tmp_path)
     pipeline = PassManager.parse("elaborate,optimize")
     module = build_rom_module()
@@ -137,55 +150,111 @@ def test_snapshot_roundtrip_returns_fresh_objects(tmp_path):
 
     ctx = FlowContext(module=module)
     pipeline.passes[0].execute(ctx)
-    cache.put_snapshot(fp, ctx, prefix_spec="elaborate", passes_done=1)
+    cache.put_snapshot(fp, ctx)
 
-    first = cache.get_snapshot(fp)
-    second = cache.get_snapshot(fp)
+    first = cache.get_prefix_entry(fp)
+    second = cache.get_prefix_entry(fp)
     assert first is not None and second is not None
     assert first is not second and first is not ctx
     assert first.aig.canonical_hash() == ctx.aig.canonical_hash()
     # Mutating one restored copy must not leak into the next.
     first.meta["poisoned"] = True
-    assert "poisoned" not in cache.get_snapshot(fp).meta
-    assert cache.snapshot_hits == 3 and cache.snapshot_stores == 1
+    assert "poisoned" not in cache.get_prefix_entry(fp).meta
+    assert cache.snapshot_stores == 1
 
 
-def test_snapshot_survives_process_boundary(tmp_path):
-    """Disk-only restore: a second cache instance over the same
-    directory (a fresh worker, in production) sees the snapshot."""
+def test_mutating_ctx_after_put_snapshot_leaves_point_unchanged():
+    """The point is pickled at store time: the resumable compile keeps
+    running passes on ``ctx`` afterwards."""
+    cache = CompileCache()
     pipeline = PassManager.parse("elaborate,optimize")
     module = build_rom_module()
     fp = pipeline.prefix_fingerprints(module=module)[0]
     ctx = FlowContext(module=module)
     pipeline.passes[0].execute(ctx)
-    CompileCache(tmp_path).put_snapshot(fp, ctx, passes_done=1)
+    before = identity(ctx)
+    cache.put_snapshot(fp, ctx)
 
-    restored = CompileCache(tmp_path).get_snapshot(fp)
+    pipeline.passes[1].execute(ctx)
+    ctx.meta["after"] = True
+    restored = cache.get_prefix_entry(fp)
+    assert identity(restored) == before
+    assert len(restored.records) == 1
+    assert "after" not in restored.meta
+
+
+def test_snapshot_survives_process_boundary(tmp_path):
+    """Disk-only restore: a second cache instance over the same
+    directory (a fresh worker, in production) sees the resume point."""
+    pipeline = PassManager.parse("elaborate,optimize")
+    module = build_rom_module()
+    fp = pipeline.prefix_fingerprints(module=module)[0]
+    ctx = FlowContext(module=module)
+    pipeline.passes[0].execute(ctx)
+    CompileCache(tmp_path).put_snapshot(fp, ctx)
+
+    restored = CompileCache(tmp_path).get_prefix_entry(fp)
     assert restored is not None
     assert restored.aig.canonical_hash() == ctx.aig.canonical_hash()
 
 
+def test_resume_point_is_the_prefix_pipelines_completed_result(tmp_path):
+    """One namespace: a resume point a long pipeline stored under a
+    prefix fingerprint answers ``get()`` for the pipeline that ends
+    there, and equals a from-scratch compile of that prefix."""
+    module = build_rom_module()
+    cache = CompileCache(tmp_path)
+    _, fps = compile_forcing_every_boundary(FULL_SPEC, module, cache)
+    prefix = PassManager.parse("elaborate,optimize,resub,dc_rewrite,map")
+    assert prefix.prefix_fingerprints(module=module)[-1] == fps[4]
+
+    for reader in (cache, CompileCache(tmp_path)):  # memory, then disk
+        served = reader.get(fps[4])
+        assert served is not None
+        scratch = prefix.compile(module=module)
+        assert identity(served) == identity(scratch)
+        assert served.netlist is not None
+    # A compile of the prefix pipeline is a plain hit: nothing runs.
+    fresh = CompileCache(tmp_path)
+    done = prefix.compile(module=module, cache=fresh)
+    assert fresh.disk_hits == 1 and fresh.misses == 0
+    assert identity(done) == identity(prefix.compile(module=module))
+
+
+def test_memory_only_cache_resumes():
+    module = build_rom_module()
+    cache = CompileCache()
+    compile_forcing_every_boundary("elaborate,optimize,resub", module, cache)
+    assert cache.snapshot_stores == 2
+    assert cache.get(
+        PassManager.parse("elaborate").prefix_fingerprints(module=module)[0]
+    ) is not None
+    resumed = PassManager.parse(FULL_SPEC).compile(
+        module=module, cache=cache
+    )
+    assert resumed.meta["passes_skipped"] == 3
+    assert resumed.meta["resumed_at"] == "resub"
+    scratch = PassManager.parse(FULL_SPEC).compile(module=module)
+    assert identity(resumed) == identity(scratch)
+
+
 def test_resumed_compile_matches_from_scratch(tmp_path):
     """The correctness bar: seed the cache with a shorter pipeline's
-    snapshots, compile the longer pipeline, get byte-identical
+    resume points, compile the longer pipeline, get byte-identical
     results (hashes + records modulo wall time)."""
     module = build_rom_module()
     scratch = PassManager.parse(FULL_SPEC).compile(module=module)
 
     cache = CompileCache(tmp_path)
-    # A prior compile of the shared prefix leaves its snapshots (and
-    # its completed entry) behind...
-    PassManager.parse("elaborate,optimize,resub").compile(
-        module=module, cache=cache, snapshots=SnapshotPolicy(
-            min_pass_seconds=0.0
-        ),
-    )
+    # A prior compile of the shared prefix leaves its resume points
+    # (and its completed entry) behind...
+    compile_forcing_every_boundary("elaborate,optimize,resub", module, cache)
     # ...which the longer pipeline resumes past.
     resumed = PassManager.parse(FULL_SPEC).compile(
         module=module, cache=cache
     )
-    assert resumed.meta.get("passes_skipped", 0) >= 1
-    assert resumed.meta["resumed_at"] in ("optimize", "resub")
+    assert resumed.meta["passes_skipped"] == 3
+    assert resumed.meta["resumed_at"] == "resub"
     assert resumed.aig.canonical_hash() == scratch.aig.canonical_hash()
     assert resumed.area.total == scratch.area.total
     assert record_signature(resumed) == record_signature(scratch)
@@ -194,13 +263,13 @@ def test_resumed_compile_matches_from_scratch(tmp_path):
 def test_completed_entry_of_shorter_pipeline_serves_as_resume_point(
     tmp_path,
 ):
-    """Cross-recipe sharing without snapshots: the short pipeline's
-    *entry* (its full fingerprint == the longer one's prefix digest)
-    is a valid resume point even when no snapshot was ever taken."""
+    """Cross-recipe sharing: the short pipeline's *entry* (its full
+    fingerprint == the longer one's prefix digest) is a valid resume
+    point."""
     module = build_rom_module()
     cache = CompileCache(tmp_path)
     PassManager.parse("elaborate,optimize").compile(
-        module=module, cache=cache, snapshots=False
+        module=module, cache=cache
     )
     resumed = PassManager.parse("elaborate,optimize,resub").compile(
         module=module, cache=cache
@@ -213,120 +282,78 @@ def test_completed_entry_of_shorter_pipeline_serves_as_resume_point(
     assert record_signature(resumed) == record_signature(scratch)
 
 
-def test_snapshots_disabled_writes_and_reads_nothing(tmp_path):
-    cache = CompileCache(tmp_path)
-    PassManager.parse(FULL_SPEC).compile(
-        module=build_rom_module(), cache=cache, snapshots=False
-    )
-    assert cache.snapshot_stores == 0
-    assert cache.stats()["backend"]["snapshots"] == 0
-
-
 # ---------------------------------------------------------------------
-# Version skew: old readers, new readers, foreign blobs.
+# Damaged and foreign blobs.
 # ---------------------------------------------------------------------
 
 def _seeded(tmp_path):
-    """A cache holding one completed entry and one snapshot."""
+    """A cache holding one completed entry and one resume point."""
     cache = CompileCache(tmp_path)
     pipeline = PassManager.parse("elaborate,optimize")
     module = build_rom_module()
     fps = pipeline.prefix_fingerprints(module=module)
-    ctx = FlowContext(module=module)
-    pipeline.passes[0].execute(ctx)
-    cache.put_snapshot(fps[0], ctx, prefix_spec="elaborate", passes_done=1)
-    done = pipeline.compile(module=module, cache=cache, snapshots=False)
+    done = pipeline.compile(module=module, cache=cache)
     return cache, fps, done
 
 
-def test_future_snapshot_version_reads_as_miss(tmp_path):
-    cache, fps, _ = _seeded(tmp_path)
-    ctx = CompileCache(tmp_path).get_snapshot(fps[0])
-    bad = StageSnapshot(
-        version=SNAPSHOT_VERSION + 1,
-        prefix_spec="elaborate",
-        passes_done=1,
-        ctx=ctx,
+def test_future_snapshot_version_reads_as_miss(tmp_path, monkeypatch):
+    """Version skew needs no envelope: every key folds in the code
+    digest, so a resume point stored by other code sits under another
+    key and this code's probe misses it."""
+    from repro.flow import cache as cache_module
+
+    _, fps, _ = _seeded(tmp_path)
+    monkeypatch.setattr(cache_module, "code_digest", lambda: "other-code")
+    skewed = PassManager.parse("elaborate,optimize").prefix_fingerprints(
+        module=build_rom_module()
     )
-    key = snapshot_key(fps[0])
-    (tmp_path / "snap" / key[:2] / f"{key}.pkl").write_bytes(_dumps(bad))
-    fresh = CompileCache(tmp_path)  # no memory copy: the disk blob rules
-    assert fresh.get_snapshot(fps[0]) is None
-    assert fresh.snapshot_misses == 1
+    assert skewed[0] != fps[0]
+    fresh = CompileCache(tmp_path)
+    assert fresh.get_prefix_entry(skewed[0]) is None
+    assert fresh.get(skewed[0]) is None
+    assert fresh.get_prefix_entry(fps[0]) is not None
 
 
 def test_corrupt_snapshot_blob_reads_as_miss(tmp_path):
     cache, fps, _ = _seeded(tmp_path)
-    key = snapshot_key(fps[0])
-    path = tmp_path / "snap" / key[:2] / f"{key}.pkl"
-    path.write_bytes(b"not a pickle")
-    assert CompileCache(tmp_path).get_snapshot(fps[0]) is None
+    cache.backend.entry_file(fps[0]).write_bytes(b"not a pickle")
+    fresh = CompileCache(tmp_path)
+    assert fresh.get_prefix_entry(fps[0]) is None
+    assert fresh.get(fps[0]) is None
 
 
 def test_snapshot_blob_under_entry_key_reads_as_entry_miss(tmp_path):
-    """A snapshot envelope planted where an entry should be must not
-    leak a StageSnapshot out of CompileCache.get."""
+    """A pickle that is not a context (a foreign or old-layout blob)
+    planted under an entry key must not leak out of get() or the
+    resume probe."""
     cache, fps, done = _seeded(tmp_path)
     key = fps[-1]
-    snapshot_blob = _dumps(
-        StageSnapshot(
-            version=SNAPSHOT_VERSION,
-            prefix_spec="elaborate,optimize",
-            passes_done=2,
-            ctx=done,
-        )
-    )
-    (tmp_path / key[:2] / f"{key}.pkl").write_bytes(snapshot_blob)
+    foreign = pickle.dumps(("envelope", 1, done))
+    cache.backend.entry_file(key).write_bytes(foreign)
     assert CompileCache(tmp_path).get(key) is None
-
-
-def test_snapshots_invisible_to_pre_snapshot_entry_listing(tmp_path):
-    """Old readers listed entries with a two-level glob; snapshots
-    live one directory deeper (snap/<aa>/<key>.pkl), so a pre-snapshot
-    cache walking the same directory never sees them."""
-    cache, fps, _ = _seeded(tmp_path)
-    entry_files = list(tmp_path.glob("*/*.pkl"))  # the historical listing
-    assert len(entry_files) == 1
-    assert all("snap" not in f.parts for f in entry_files)
-    snapshot_files = list((tmp_path / "snap").glob("*/*.pkl"))
-    assert len(snapshot_files) == 1
-    # Every stored snapshot blob is a StageSnapshot envelope, never a
-    # bare context -- what an old unpickler would at least fail loudly
-    # on rather than silently misuse.
-    envelope = pickle.loads(snapshot_files[0].read_bytes())
-    assert isinstance(envelope, StageSnapshot)
-    assert envelope.version == SNAPSHOT_VERSION
-    assert envelope.passes_done == 1
+    assert CompileCache(tmp_path).get_prefix_entry(key) is None
 
 
 # ---------------------------------------------------------------------
-# GC + stats account both kinds.
+# GC sweeps resume points and entries from one listing.
 # ---------------------------------------------------------------------
-
-def test_stats_report_entries_and_snapshots_by_kind(tmp_path):
-    cache, fps, _ = _seeded(tmp_path)
-    stats = cache.stats()
-    assert stats["backend"]["entries"] == 1
-    assert stats["backend"]["snapshots"] == 1
-    assert stats["backend"]["snapshot_bytes"] > 0
-    assert stats["snapshot_stores"] == 1
-
 
 def test_sweep_covers_snapshots(tmp_path):
     cache, fps, _ = _seeded(tmp_path)
+    assert cache.snapshot_stores == 1  # after elaborate (stage change)
+    assert cache.stats()["backend"]["entries"] == 2
     swept = cache.sweep(max_bytes=0)
-    assert swept.scanned_snapshots == 1
-    assert swept.removed_snapshots == 1
-    assert swept.removed == swept.scanned  # everything went
+    assert swept.scanned == 2
+    assert swept.removed == 2  # the entry and the resume point
     stats = CompileCache(tmp_path).stats()
     assert stats["backend"]["entries"] == 0
-    assert stats["backend"]["snapshots"] == 0
-    # A swept snapshot is a miss, never an error.
-    assert CompileCache(tmp_path).get_snapshot(fps[0]) is None
+    assert stats["backend"]["entry_bytes"] == 0
+    # A swept resume point is a miss, never an error.
+    assert CompileCache(tmp_path).get_prefix_entry(fps[0]) is None
 
 
 def test_age_sweep_keeps_fresh_snapshots(tmp_path):
     cache, fps, _ = _seeded(tmp_path)
     swept = cache.sweep(max_age_days=30)
-    assert swept.removed == 0 and swept.removed_snapshots == 0
-    assert CompileCache(tmp_path).get_snapshot(fps[0]) is not None
+    assert swept.scanned == 2 and swept.removed == 0
+    assert CompileCache(tmp_path).get_prefix_entry(fps[0]) is not None

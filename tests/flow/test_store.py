@@ -398,10 +398,9 @@ def test_swept_cache_still_works(tmp_path):
     pipeline = PassManager.parse("elaborate,optimize")
     pipeline.compile(module, cache=cache)
     swept = cache.sweep(max_bytes=0)
-    # One completed entry, plus the stage-boundary snapshot the
-    # default policy wrote after elaborate -- both evicted.
-    assert swept.removed - swept.removed_snapshots == 1
-    assert swept.removed_snapshots == 1
+    # One completed entry, plus the resume point stored at the stage
+    # boundary after elaborate -- both evicted.
+    assert swept.removed == swept.scanned == 2
     fresh = CompileCache(tmp_path / "cache")  # cold memory layer
     ctx = pipeline.compile(module, cache=fresh)
     assert ctx.aig is not None and fresh.misses == 1

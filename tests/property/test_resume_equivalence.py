@@ -1,8 +1,8 @@
 """Property: a resumed compile equals a from-scratch one everywhere.
 
 For every pipeline and every split point, a
-compile that resumes from a cached prefix (stage snapshot or a
-shorter pipeline's completed entry) must be byte-identical to the
+compile that resumes from a cached prefix (a resume point or a
+shorter pipeline's completed entry -- one key) must be byte-identical to the
 same pipeline run from scratch: canonical hashes, areas, and pass
 records -- including the progress/rollback flags -- with only wall
 times free to differ.  This is the correctness bar the whole
@@ -12,7 +12,7 @@ incremental-compilation layer rests on.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.flow import CompileCache, PassManager, SnapshotPolicy
+from repro.flow import CompileCache, PassManager
 from repro.track.bench import build_table_aig, frontend_inputs
 
 #: (name, spec, input kwargs) -- an AIG-stage pipeline covering all
@@ -72,15 +72,10 @@ def test_resume_equals_from_scratch(tmp_path_factory, name, split):
 
     tmp = tmp_path_factory.mktemp(f"resume-{name}-{split}")
     cache = CompileCache(tmp)
-    # Seed the cache by genuinely running the prefix pipeline with
-    # snapshots on -- it leaves both its stage snapshots and its
-    # completed entry behind; whichever the probe finds first must
-    # produce the same result.
-    prefix.compile(
-        **inputs,
-        cache=cache,
-        snapshots=SnapshotPolicy(min_pass_seconds=0.0),
-    )
+    # Seed the cache by genuinely running the prefix pipeline -- it
+    # leaves its resume points and its completed entry behind; the
+    # deepest one the probe finds must produce the same result.
+    prefix.compile(**inputs, cache=cache)
     resumed = PassManager.parse(spec).compile(**make_inputs(), cache=cache)
 
     assert resumed.meta.get("passes_skipped", 0) >= split

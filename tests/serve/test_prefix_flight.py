@@ -1,4 +1,4 @@
-"""Prefix-aware single-flight and the server's snapshot endpoints."""
+"""Prefix-aware single-flight and resume points over the server."""
 
 import threading
 import time
@@ -11,14 +11,12 @@ from repro.flow import (
     CompileCache,
     CompileJob,
     PassManager,
-    SnapshotPolicy,
-    StageSnapshot,
-    snapshot_key,
 )
-from repro.flow.cache import SNAPSHOT_VERSION, _dumps
+from repro.flow.cache import _dumps
 from repro.flow.core import FlowContext
 from repro.rtl.builder import ModuleBuilder
 from repro.serve import CompileServer, ServeClient, SingleFlight
+from repro.serve.backends import RemoteBackend
 
 
 def build_rom_module(scale=3, name="m"):
@@ -131,17 +129,13 @@ def test_prefix_table_entries_are_cleaned_up():
 @pytest.fixture()
 def server(tmp_path):
     cache = CompileCache(tmp_path / "cache")
-    with CompileServer(
-        cache=cache,
-        workers=2,
-        snapshots=SnapshotPolicy(min_pass_seconds=0.0),
-    ) as srv:
+    with CompileServer(cache=cache, workers=2) as srv:
         yield srv
 
 
 def test_server_batch_resumes_shared_prefix(server):
     """Two jobs sharing everything up to ``map`` submitted as one
-    batch: the second must resume from the first one's snapshots (or
+    batch: the second must resume from the first one's resume points (or
     wait on its flight), never recompute the shared prefix -- and the
     results must equal local from-scratch compiles."""
     module = build_rom_module()
@@ -169,23 +163,17 @@ def test_server_batch_resumes_shared_prefix(server):
 
 
 def test_snapshot_endpoint_roundtrip(server):
+    """Resume points travel over ``/cache/<fp>`` like entries: the key
+    is the prefix fingerprint, the body the pickled context."""
     pipeline = PassManager.parse("elaborate,optimize")
     module = build_rom_module()
     fp = pipeline.prefix_fingerprints(module=module, seed=7)[0]
     ctx = FlowContext(module=module, seed=7)
     pipeline.passes[0].execute(ctx)
-    blob = _dumps(
-        StageSnapshot(
-            version=SNAPSHOT_VERSION,
-            prefix_spec="elaborate",
-            passes_done=1,
-            ctx=ctx,
-        )
-    )
-    key = snapshot_key(fp)
-    url = f"{server.url}/cache/snap/{key}"
+    blob = _dumps(ctx)
+    url = f"{server.url}/cache/{fp}"
 
-    # A missing snapshot 404s (the best-effort miss old servers give).
+    # A missing point 404s (the best-effort miss remote backends read).
     with pytest.raises(urllib.error.HTTPError) as missing:
         urllib.request.urlopen(url)
     assert missing.value.code == 404
@@ -196,14 +184,39 @@ def test_snapshot_endpoint_roundtrip(server):
     with urllib.request.urlopen(url) as response:
         assert response.read() == blob
 
-    # The stored snapshot is live: the server's own cache restores it.
-    restored = server.cache.get_snapshot(fp)
+    # The stored point is live: the server's own cache restores it.
+    restored = server.cache.get_prefix_entry(fp)
     assert restored is not None
     assert restored.aig.canonical_hash() == ctx.aig.canonical_hash()
 
 
 def test_snapshot_endpoint_rejects_malformed_keys(server):
-    for bad in ("nothex", "abc", "../../etc/passwd"):
+    for bad in ("nothex", "abc", "../../etc/passwd", "snap/" + "a" * 64):
         with pytest.raises(urllib.error.HTTPError) as exc:
-            urllib.request.urlopen(f"{server.url}/cache/snap/{bad}")
+            urllib.request.urlopen(f"{server.url}/cache/{bad}")
         assert exc.value.code == 404
+
+
+def test_remote_client_resumes_from_a_point_the_server_holds():
+    """A memory-only server stores a resume point of its own compile;
+    a client cache over a RemoteBackend resumes past it without a
+    route of its own."""
+    module = build_rom_module()
+    with CompileServer(cache=CompileCache(), workers=1) as srv:
+        ServeClient(srv.url).compile(
+            [CompileJob("prefix", "elaborate,optimize", module=module)]
+        )
+        assert srv.cache.snapshot_stores == 1  # after elaborate
+
+        client = CompileCache(backend=RemoteBackend(srv.url))
+        spec = "elaborate,resub"
+        resumed = PassManager.parse(spec).compile(
+            module=module, cache=client
+        )
+    assert resumed.meta["passes_skipped"] == 1
+    assert resumed.meta["resumed_at"] == "elaborate"
+    scratch = PassManager.parse(spec).compile(module=module)
+    assert record_signature(resumed) == record_signature(scratch)
+    assert resumed.aig.canonical_hash() == scratch.aig.canonical_hash()
+    # The client wrote its result back through the same endpoint.
+    assert client.backend.stats()["store_calls"] == 1
