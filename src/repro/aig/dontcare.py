@@ -37,7 +37,7 @@ equivalence on randomized graphs.
 
 from __future__ import annotations
 
-from repro.aig.cuts import CutSet
+from repro.aig.cuts import enumerate_cuts
 from repro.aig.graph import AIG, lit_node
 from repro.aig.kernel import NU, resolve_backend
 from repro.aig.rewrite import (
@@ -98,7 +98,7 @@ def dc_rewrite(
 
     backend = resolve_backend()
     tables = backend.global_node_tables(aig, support_limit)
-    cuts = CutSet(aig, k=k, max_cuts=max_cuts)
+    cuts = enumerate_cuts(aig, k=k, max_cuts=max_cuts)
     mffc = mffc_sizes(aig)
     topo = aig.topo_order()
     topo_position = {node: index for index, node in enumerate(topo)}

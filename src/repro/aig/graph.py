@@ -461,6 +461,21 @@ class AIG:
             digest.update(repr(("po", name, canon_lit(lit))).encode())
         return digest.hexdigest()
 
+    def structure_key(self) -> tuple:
+        """The exact structure as one hashable value: both fanin
+        arrays, the combinational inputs and the combinational outputs.
+
+        Unlike :meth:`canonical_hash` it keeps raw node ids and dead
+        nodes, so two graphs share a key only when every analysis
+        indexed by node id (a cut set, say) is the same on both.
+        """
+        return (
+            tuple(self._nodes.fanin0),
+            tuple(self._nodes.fanin1),
+            tuple(self.combinational_inputs()),
+            tuple(self.combinational_outputs()),
+        )
+
     def stats(self) -> str:
         return (
             f"AIG: pi={len(self._pis)} po={len(self._pos)} "

@@ -17,7 +17,7 @@ SAT-based equivalence on randomized graphs.
 
 from __future__ import annotations
 
-from repro.aig.cuts import CutSet
+from repro.aig.cuts import enumerate_cuts
 from repro.aig.graph import AIG, lit_compl, lit_node
 from repro.aig.kernel import resolve_backend
 from repro.tables.bits import all_ones
@@ -106,7 +106,7 @@ def rewrite(aig: AIG, k: int = 4, max_cuts: int = 6) -> AIG:
     with a dry run against the new graph's structural hash table, so
     rejected candidates leave no residue.
     """
-    cuts = CutSet(aig, k=k, max_cuts=max_cuts)
+    cuts = enumerate_cuts(aig, k=k, max_cuts=max_cuts)
     mffc = mffc_sizes(aig)
     new = AIG()
     lit_map: dict[int, int] = {0: 0}

@@ -130,26 +130,27 @@ def _job_fingerprints(
 def _execute_job(
     job: CompileJob,
     cache: CompileCache | None,
-    fingerprint: str | None = None,
+    fingerprints: "tuple[str, list[str]] | None" = None,
     *,
     force_snapshot_after: frozenset = frozenset(),
 ) -> FlowContext:
     """Run one job (cache-aware and resumable), wrapping failures with
-    their log context.  A caller that already missed on
-    ``fingerprint`` passes it in to skip the redundant second lookup
-    (prefix resume points are still probed).  ``force_snapshot_after``
-    holds top-level pass indices the prefix-trie planner marked as
-    shared boundaries -- they snapshot regardless of wall time or
-    stage."""
+    their log context.  A caller that already computed the job's
+    ``(fingerprint, prefix_fps)`` and missed on the fingerprint passes
+    them in, skipping a second fingerprinting and lookup (prefix
+    resume points are still probed).  ``force_snapshot_after`` holds
+    top-level pass indices the prefix-trie planner marked as shared
+    boundaries -- they snapshot regardless of wall time or stage."""
     pipeline = _resolve_pipeline(job.pipeline)
-    prefix_fps: list[str] = []
-    if cache is not None and fingerprint is None:
-        fingerprint, prefix_fps = _job_fingerprints(job, pipeline)
-        hit = cache.get(fingerprint)
-        if hit is not None:
-            return hit
-    elif cache is not None and len(pipeline.passes) > 1:
-        _, prefix_fps = _job_fingerprints(job, pipeline)
+    fingerprint, prefix_fps = None, []
+    if cache is not None:
+        if fingerprints is None:
+            fingerprint, prefix_fps = _job_fingerprints(job, pipeline)
+            hit = cache.get(fingerprint)
+            if hit is not None:
+                return hit
+        else:
+            fingerprint, prefix_fps = fingerprints
     ctx, start = prepare_resume(
         pipeline,
         ctrl=job.ctrl,
@@ -186,13 +187,20 @@ def _execute_job(
 def _worker_run(
     job: CompileJob,
     cache_path: str | None,
+    fingerprints: "tuple[str, list[str]] | None",
     force_snapshot_after: frozenset = frozenset(),
 ) -> FlowContext:
-    """Entry point executed inside a pool worker."""
+    """Entry point executed inside a pool worker.  ``fingerprints``
+    are the parent's; the worker still probes the full key, because a
+    content-identical job in an earlier wave may have published it."""
     ensure_recursion_headroom()
     cache = None if cache_path is None else CompileCache(path=cache_path)
+    if cache is not None:
+        hit = cache.get(fingerprints[0])
+        if hit is not None:
+            return hit
     return _execute_job(
-        job, cache, force_snapshot_after=force_snapshot_after
+        job, cache, fingerprints, force_snapshot_after=force_snapshot_after
     )
 
 
@@ -348,25 +356,26 @@ def compile_many(
 
     ensure_recursion_headroom()
     results: dict[Hashable, FlowContext] = {}
-    pending: list[tuple[int, CompileJob, str | None, list[str]]] = []
+    # (index, job, (fingerprint, prefix_fps) or None without a cache)
+    pending: list[tuple[int, CompileJob, tuple[str, list[str]] | None]] = []
     for index, job in enumerate(jobs):
         if cache is not None:
-            fingerprint, prefix_fps = _job_fingerprints(
+            fingerprints = _job_fingerprints(
                 job, _resolve_pipeline(job.pipeline)
             )
-            hit = cache.get(fingerprint)
+            hit = cache.get(fingerprints[0])
             if hit is not None:
                 results[job.key] = hit
                 continue
-            pending.append((index, job, fingerprint, prefix_fps))
+            pending.append((index, job, fingerprints))
         else:
-            pending.append((index, job, None, []))
+            pending.append((index, job, None))
 
     # The prefix-trie plan of the misses: which boundaries must
     # snapshot, and (for the pool path) which jobs may run
     # concurrently without racing on a shared prefix.
     if cache is not None:
-        waves, forced = _plan_waves([fps for _, _, _, fps in pending])
+        waves, forced = _plan_waves([fps for _, _, (_, fps) in pending])
     else:
         waves = [list(range(len(pending)))]
         forced = {}
@@ -379,22 +388,22 @@ def compile_many(
             # The server runs its own prefix-flight dedup; the batch
             # goes up unplanned.
             remote = ServeClient(server).compile(
-                [job for _, job, _, _ in pending]
+                [job for _, job, _ in pending]
             )
-            for _, job, fingerprint, _ in pending:
+            for _, job, fingerprints in pending:
                 ctx = remote[job.key]
                 results[job.key] = ctx
                 if cache is not None:
-                    cache.put(fingerprint, ctx)
+                    cache.put(fingerprints[0], ctx)
     elif workers <= 1 or len(pending) <= 1:
         # Submission order already executes each shared prefix exactly
         # once: the first job carrying it leads (snapshotting the
         # forced boundary), every later job resumes from its point.
-        for position, (_, job, fingerprint, _) in enumerate(pending):
+        for position, (_, job, fingerprints) in enumerate(pending):
             results[job.key] = _execute_job(
                 job,
                 cache,
-                fingerprint,
+                fingerprints,
                 force_snapshot_after=forced.get(position, frozenset()),
             )
     else:
@@ -419,12 +428,13 @@ def compile_many(
                          _worker_run,
                          pending[position][1],
                          cache_path,
+                         pending[position][2],
                          forced.get(position, frozenset()),
                      ))
                     for position in wave
                 ]
                 for position, future in futures:
-                    index, job, fingerprint, _ = pending[position]
+                    index, job, fingerprints = pending[position]
                     try:
                         ctx = future.result()
                     except CompileJobError as exc:
@@ -435,7 +445,7 @@ def compile_many(
                         # The worker already published to the shared
                         # disk layer; fold into the parent's memory
                         # layer too.
-                        cache.put_memory(fingerprint, ctx)
+                        cache.put_memory(fingerprints[0], ctx)
         if failures:
             # Deterministic: the earliest job in submission order
             # raises, exactly as the serial path would.

@@ -209,9 +209,10 @@ class CompileServer:
             )
 
         try:
-            fingerprint, prefix_fps = _job_fingerprints(
+            fingerprints = _job_fingerprints(
                 job, _resolve_pipeline(job.pipeline)
             )
+            fingerprint, prefix_fps = fingerprints
         except Exception as exc:
             self._count("job_errors")
             return done(
@@ -237,9 +238,7 @@ class CompileServer:
                 # the deepest resume point (a prefix leader's, or a
                 # previous run's) is restored, and this run's own
                 # resume points and completed entry publish through it.
-                fresh = _execute_job(
-                    job, cache=self.cache, fingerprint=fingerprint
-                )
+                fresh = _execute_job(job, self.cache, fingerprints)
             finally:
                 self.cache.inflight_end()
             self._count("compiles")

@@ -15,8 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import permutations
 
-from repro.aig.cuts import CutSet
+from repro.aig.cuts import enumerate_cuts
 from repro.aig.graph import AIG, lit_node, lit_sign
 from repro.aig.tt_util import project_table
 from repro.tables.bits import all_ones, tt_support
@@ -31,14 +32,13 @@ _MAX_CUTS = 6
 class Match:
     """A cell realization of a cut function.
 
-    ``leaf_order[i]`` gives, for cell input ``i``, the index of the cut
-    leaf feeding it; ``input_phases`` bit ``i`` says that input must be
+    ``pins[i]`` is ``(leaf_index, leaf_phase)`` for cell input ``i``:
+    the index of the cut leaf feeding it, and 1 when the input must be
     the *complement* of that leaf.
     """
 
     cell: Cell
-    leaf_order: tuple[int, ...]
-    input_phases: int
+    pins: tuple[tuple[int, int], ...]
 
 
 class _MatchTable:
@@ -52,17 +52,14 @@ class _MatchTable:
             self._add_orbit(cell)
 
     def _add_orbit(self, cell: Cell) -> None:
-        arity = cell.arity
-        for perm in _permutations(arity):
-            for phases in range(1 << arity):
-                table = _transform(cell.table, perm, phases, arity)
-                bucket = self.by_arity[arity].setdefault(table, [])
-                match = Match(cell, perm, phases)
-                # Keep only the cheapest cell per exact table.
-                if not bucket or cell.area < bucket[0].cell.area:
-                    bucket.insert(0, match)
-                else:
-                    bucket.append(match)
+        for pins, table in _orbit(cell.table, cell.arity):
+            bucket = self.by_arity[cell.arity].setdefault(table, [])
+            match = Match(cell, pins)
+            # Keep only the cheapest cell per exact table.
+            if not bucket or cell.area < bucket[0].cell.area:
+                bucket.insert(0, match)
+            else:
+                bucket.append(match)
 
     def lookup(self, table: int, arity: int) -> list[Match]:
         if arity > _K:
@@ -71,24 +68,47 @@ class _MatchTable:
 
 
 @lru_cache(maxsize=None)
-def _permutations(arity: int) -> tuple[tuple[int, ...], ...]:
-    from itertools import permutations
+def _orbit(
+    table: int, arity: int
+) -> tuple[tuple[tuple[tuple[int, int], ...], int], ...]:
+    """``(pins, transformed table)`` for every input permutation and
+    phase assignment of a cell function, in the order the match table
+    files them; libraries share cell functions, so each orbit is
+    computed once per process."""
+    return tuple(
+        (
+            tuple(
+                (leaf, (phases >> cell_input) & 1)
+                for cell_input, leaf in enumerate(perm)
+            ),
+            _transform(table, perm, phases, arity),
+        )
+        for perm in permutations(range(arity))
+        for phases in range(1 << arity)
+    )
 
-    return tuple(permutations(range(arity)))
+
+@lru_cache(maxsize=None)
+def _index_map(
+    perm: tuple[int, ...], phases: int, arity: int
+) -> tuple[int, ...]:
+    """Per leaf minterm, the cell-input minterm it drives: cell input
+    ``i`` reads leaf ``perm[i]``, inverted when bit ``i`` of
+    ``phases`` is set."""
+    indices = []
+    for minterm in range(1 << arity):
+        index = 0
+        for cell_input, leaf in enumerate(perm):
+            if ((minterm >> leaf) ^ (phases >> cell_input)) & 1:
+                index |= 1 << cell_input
+        indices.append(index)
+    return tuple(indices)
 
 
 def _transform(table: int, perm: tuple[int, ...], phases: int, arity: int) -> int:
     """Reindex ``table``: cell input i reads (possibly inverted) leaf perm[i]."""
     result = 0
-    for minterm in range(1 << arity):
-        # minterm assigns values to the *leaves*; compute cell input index.
-        index = 0
-        for cell_input, leaf in enumerate(perm):
-            bit = (minterm >> leaf) & 1
-            if (phases >> cell_input) & 1:
-                bit ^= 1
-            if bit:
-                index |= 1 << cell_input
+    for minterm, index in enumerate(_index_map(perm, phases, arity)):
         if (table >> index) & 1:
             result |= 1 << minterm
     return result
@@ -128,7 +148,7 @@ def map_aig(aig: AIG, library: Library | None = None) -> MappedNetlist:
     """Map a (cleaned-up) AIG onto the library; returns the netlist."""
     library = library or default_library()
     matches = _matches_for(library)
-    cuts = CutSet(aig, k=_K, max_cuts=_MAX_CUTS)
+    cuts = enumerate_cuts(aig, k=_K, max_cuts=_MAX_CUTS)
     fanout = aig.fanout_counts()
     inv_area = library.inverter.area
 
@@ -137,30 +157,40 @@ def map_aig(aig: AIG, library: Library | None = None) -> MappedNetlist:
     # ------------------------------------------------------------------
     INF = float("inf")
     cost: dict[tuple[int, int], float] = {}
+    # Area flow of each (node, phase), indexed by its literal and
+    # fixed together with its cost.
+    flows: list[float | None] = [None] * (2 * aig.num_nodes)
     choice: dict[tuple[int, int], tuple] = {}
 
-    for source in aig.combinational_inputs():
-        cost[(source, 0)] = 0.0
-        cost[(source, 1)] = inv_area
-    cost[(0, 0)] = 0.0
-    cost[(0, 1)] = 0.0
+    def settle(node: int, phase: int, value: float) -> None:
+        cost[(node, phase)] = value
+        flows[(node << 1) | phase] = value / max(fanout[node], 1)
 
-    def flow(node: int, phase: int) -> float:
-        return cost[(node, phase)] / max(fanout[node], 1)
+    for source in aig.combinational_inputs():
+        settle(source, 0, 0.0)
+        settle(source, 1, inv_area)
+    settle(0, 0, 0.0)
+    settle(0, 1, 0.0)
 
     for node in aig.topo_order():
+        # Each cut's function reduced to its true support; the
+        # complement phase has the same support.
+        reduced_cuts = []
+        for cut in cuts[node]:
+            if cut.leaves == (node,):
+                continue
+            support, reduced = support_reduction(cut.table, cut.size)
+            if len(support) < cut.size:
+                leaves = tuple(cut.leaves[i] for i in support)
+            else:
+                leaves = cut.leaves
+            reduced_cuts.append((leaves, reduced, all_ones(len(support))))
         for phase in (0, 1):
             best = INF
             best_choice = None
-            for cut in cuts[node]:
-                if cut.leaves == (node,):
-                    continue
-                table = cut.table if phase == 0 else cut.table ^ all_ones(cut.size)
-                support, reduced = support_reduction(table, cut.size)
-                if len(support) < cut.size:
-                    leaves = tuple(cut.leaves[i] for i in support)
-                else:
-                    leaves = cut.leaves
+            for leaves, reduced, universe in reduced_cuts:
+                if phase:
+                    reduced ^= universe
                 if not leaves:
                     # Constant under folding; realized by tie cells.
                     best = 0.0
@@ -168,18 +198,15 @@ def map_aig(aig: AIG, library: Library | None = None) -> MappedNetlist:
                     continue
                 for match in matches.lookup(reduced, len(leaves)):
                     total = match.cell.area
-                    feasible = True
-                    for cell_input, leaf_index in enumerate(match.leaf_order):
-                        leaf = leaves[leaf_index]
-                        leaf_phase = (match.input_phases >> cell_input) & 1
-                        leaf_cost = cost.get((leaf, leaf_phase))
-                        if leaf_cost is None:
-                            feasible = False
+                    for leaf_index, leaf_phase in match.pins:
+                        leaf_flow = flows[(leaves[leaf_index] << 1) | leaf_phase]
+                        if leaf_flow is None:
                             break
-                        total += leaf_cost / max(fanout[leaf], 1)
-                    if feasible and total < best:
-                        best = total
-                        best_choice = ("cell", match, leaves)
+                        total += leaf_flow
+                    else:
+                        if total < best:
+                            best = total
+                            best_choice = ("cell", match, leaves)
             # Fallback: the other phase plus an inverter.
             other = cost.get((node, phase ^ 1))
             if other is not None and other + inv_area < best:
@@ -187,7 +214,7 @@ def map_aig(aig: AIG, library: Library | None = None) -> MappedNetlist:
                 best_choice = ("invert",)
             if best_choice is None:
                 raise AssertionError(f"no match found for node {node}")
-            cost[(node, phase)] = best
+            settle(node, phase, best)
             choice[(node, phase)] = best_choice
 
     # ------------------------------------------------------------------
@@ -227,10 +254,8 @@ def map_aig(aig: AIG, library: Library | None = None) -> MappedNetlist:
         else:
             _, match, leaves = picked
             input_nets = []
-            for cell_input, leaf_index in enumerate(match.leaf_order):
-                leaf = leaves[leaf_index]
-                leaf_phase = (match.input_phases >> cell_input) & 1
-                input_nets.append(realize(leaf, leaf_phase))
+            for leaf_index, leaf_phase in match.pins:
+                input_nets.append(realize(leaves[leaf_index], leaf_phase))
             net = netlist.add_instance(match.cell.name, input_nets)
         realized[key] = net
         return net

@@ -1,5 +1,6 @@
-"""The truth-table kernel's process-wide memos: ISOP covers, cut
-expansion and the mapper's support reduction.
+"""The process-wide memos of the kernels: ISOP covers, cut
+expansion, cut sets, and the mapper's support reduction, NPN orbits
+and match tables.
 
 Each memo must return exactly what the unmemoized computation returns,
 keep distinct keys apart, stay within its fixed bound, and leave every
@@ -22,12 +23,7 @@ from repro.tables.isop import isop
 from repro.tech import mapper
 from repro.tech.mapper import map_aig
 
-MEMOS = (kernel.isop_memo, kernel.expansion_memo, mapper.support_reduction)
-
-
-def clear_memos():
-    for memo in MEMOS:
-        memo.cache_clear()
+from tests.helpers import clear_process_memos
 
 
 @st.composite
@@ -84,7 +80,7 @@ def test_expand_cut_matches_a_minterm_reference(args):
 
 
 def test_keys_differing_only_in_num_vars_or_dc_never_share():
-    clear_memos()
+    clear_process_memos()
     backend = resolve_backend()
     # x0 over one variable versus the same ON-set over two.
     assert backend.isop_cover(0b10, 0, 1) == tuple(isop(0b10, 0, 1))
@@ -158,7 +154,7 @@ def rewrite_and_map(aig):
 @settings(max_examples=25, deadline=None)
 def test_results_do_not_depend_on_memo_state(seed):
     aig = random_aig(seed)
-    clear_memos()
+    clear_process_memos()
     cold = rewrite_and_map(aig)
     for other in range(3):
         rewrite_and_map(random_aig(seed + 1 + other))
@@ -168,9 +164,9 @@ def test_results_do_not_depend_on_memo_state(seed):
 
 def test_threads_sharing_the_memos_match_serial_results():
     designs = [random_aig(seed, num_inputs=8, num_nodes=150) for seed in range(6)]
-    clear_memos()
+    clear_process_memos()
     serial = [rewrite_and_map(aig) for aig in designs]
-    clear_memos()
+    clear_process_memos()
     with ThreadPoolExecutor(max_workers=4) as pool:
         # Each design is compiled four times, interleaved, so the
         # threads race on the same memo entries.

@@ -18,6 +18,8 @@ from repro.expts.fig8_stateprop import run_fig8
 from repro.expts.techsweep import run_techsweep
 from repro.flow import CompileCache
 
+from tests.helpers import clear_process_memos
+
 EXPECTED = Path(__file__).resolve().parents[2] / "perfbench" / "expected" / "tables.json"
 
 DRIVERS = {
@@ -35,7 +37,22 @@ def expected():
     return data["figures"]
 
 
-@pytest.mark.parametrize("label", sorted(DRIVERS))
-def test_small_scale_tables_match_the_golden_file(label, expected, tmp_path):
-    result = DRIVERS[label](scale="small", cache=CompileCache(tmp_path))
+# Every run starts from empty process-wide memos (cut sets, covers,
+# orbits, match tables); with ``workers=2`` the pool workers fill
+# their own copies, a path the serial run never takes.
+@pytest.mark.parametrize(
+    "label, workers",
+    [
+        pytest.param(label, workers, id=label if workers == 1 else f"{label}-workers2")
+        for label in sorted(DRIVERS)
+        for workers in (1, 2)
+    ],
+)
+def test_small_scale_tables_match_the_golden_file(
+    label, workers, expected, tmp_path
+):
+    clear_process_memos()
+    result = DRIVERS[label](
+        scale="small", workers=workers, cache=CompileCache(tmp_path)
+    )
     assert dict(result.tables) == expected[label]

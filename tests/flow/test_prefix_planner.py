@@ -8,6 +8,7 @@ from repro.flow import (
     PassManager,
     compile_many,
 )
+from repro.flow import parallel
 from repro.flow.parallel import _plan_waves
 from repro.rtl.builder import ModuleBuilder
 
@@ -148,6 +149,36 @@ def test_pool_matches_serial_with_prefix_scheduling(tmp_path):
     assert (
         sum(executed(ctx) for ctx in serial.values())
         == sum(executed(ctx) for ctx in pooled.values())
+    )
+
+
+def test_each_job_is_fingerprinted_once(tmp_path, monkeypatch):
+    calls = []
+    original = parallel._job_fingerprints
+
+    def counting(job, pipeline):
+        calls.append(job.key)
+        return original(job, pipeline)
+
+    monkeypatch.setattr(parallel, "_job_fingerprints", counting)
+    jobs = shared_prefix_jobs()
+    compile_many(jobs, cache=CompileCache(tmp_path / "c"))
+    assert sorted(calls) == sorted(job.key for job in jobs)
+
+
+def test_pool_follower_hits_a_content_identical_leader(tmp_path):
+    """The planner defers the second of two content-identical jobs to a
+    later wave; its worker must find the leader's completed entry
+    rather than resume from the leader's last resume point."""
+    module = build_rom_module()
+    jobs = [
+        CompileJob(key, "elaborate,optimize,map", module=module, seed=7)
+        for key in ("leader", "follower")
+    ]
+    out = compile_many(jobs, workers=2, cache=CompileCache(tmp_path / "c"))
+    assert "resumed_at" not in out["follower"].meta
+    assert record_signature(out["follower"]) == record_signature(
+        out["leader"]
     )
 
 

@@ -1,6 +1,8 @@
 """Shared helpers for driving AIGs in tests."""
 
+from repro.aig import cuts, kernel
 from repro.aig.graph import AIG, lit_node, lit_sign
+from repro.tech import mapper
 
 
 def make_word(aig: AIG, name: str, width: int) -> list[int]:
@@ -39,3 +41,19 @@ def eval_lits(aig: AIG, lits: list[int], pi_values: dict[int, int]) -> int:
         if lit_value(lit):
             result |= 1 << index
     return result
+
+
+def clear_process_memos() -> None:
+    """Empty every process-wide kernel memo: ISOP covers, cut
+    expansion, cut sets, support reduction, NPN orbits and match
+    tables."""
+    for memo in (
+        kernel.isop_memo,
+        kernel.expansion_memo,
+        cuts.cut_set_memo,
+        mapper.support_reduction,
+        mapper._orbit,
+        mapper._index_map,
+    ):
+        memo.cache_clear()
+    mapper._match_table_cache.clear()

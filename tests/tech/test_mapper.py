@@ -1,8 +1,13 @@
 """Unit tests for technology mapping (validated by netlist simulation)."""
 
 import random
+from itertools import permutations
+
+import pytest
 
 from repro.aig.graph import AIG, lit_compl
+from repro.flow.passes import LIBRARY_FACTORIES
+from repro.tech import mapper
 from repro.tech.cells import Library
 from repro.tech.mapper import map_aig
 
@@ -131,3 +136,40 @@ def test_mapping_cheaper_than_naive():
     and2 = Library.tsmc90ish().cells["AND2"]
     naive_area = 7 * and2.area
     assert netlist.area_report().combinational < naive_area
+
+
+def brute_force_transform(table, perm, phases, arity):
+    """Per leaf minterm, evaluate the cell on its permuted, inverted
+    inputs."""
+    result = 0
+    for minterm in range(1 << arity):
+        index = 0
+        for cell_input, leaf in enumerate(perm):
+            bit = (minterm >> leaf) & 1
+            if (phases >> cell_input) & 1:
+                bit ^= 1
+            if bit:
+                index |= 1 << cell_input
+        if (table >> index) & 1:
+            result |= 1 << minterm
+    return result
+
+
+@pytest.mark.parametrize("name", sorted(LIBRARY_FACTORIES))
+def test_orbits_match_a_per_minterm_transform(name):
+    mapper._orbit.cache_clear()
+    for cell in LIBRARY_FACTORIES[name]().cells.values():
+        arity = cell.arity
+        expected = tuple(
+            (
+                tuple((leaf, phases >> i & 1) for i, leaf in enumerate(perm)),
+                brute_force_transform(cell.table, perm, phases, arity),
+            )
+            for perm in permutations(range(arity))
+            for phases in range(1 << arity)
+        )
+        assert mapper._orbit(cell.table, arity) == expected
+        # A second call is a hit on the same orbit.
+        assert mapper._orbit(cell.table, arity) is mapper._orbit(
+            cell.table, arity
+        )
